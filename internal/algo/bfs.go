@@ -107,11 +107,22 @@ func BFSLevels(g graph.View, source uint32, opts core.Options) []int32 {
 // interruption the returned slice holds correct levels for every vertex
 // reached in completed rounds (-1 elsewhere) alongside a *RoundError.
 func BFSLevelsCtx(ctx context.Context, g graph.View, source uint32, opts core.Options) ([]int32, error) {
-	n := g.NumVertices()
-	levels := make([]int32, n)
+	levels := make([]int32, g.NumVertices())
 	parallel.Fill(levels, int32(-1))
 	levels[source] = 0
+	rounds, err := levelRounds(ctx, g, source, levels, opts)
+	return levels, roundErr("bfs-levels", rounds, err)
+}
 
+// levelRounds is the level BFS shared by BFSLevelsCtx and one-root
+// ClusterBFS sweeps. levels (-1 everywhere but levels[source] = 0) is the
+// claim word: the first update to reach a vertex stores the round, so
+// Cond and dense early exit apply exactly as in BFS, and opts picks the
+// direction as usual. It returns the number of edgeMap rounds completed
+// (on a clean finish, one more than the largest level, as the last round
+// finds nothing); on interruption every non-negative level is a genuine
+// BFS distance.
+func levelRounds(ctx context.Context, g graph.View, source uint32, levels []int32, opts core.Options) (int, error) {
 	round := int32(0)
 	funcs := core.EdgeFuncs{
 		Update: func(_, d uint32, _ int32) bool {
@@ -130,14 +141,14 @@ func BFSLevelsCtx(ctx context.Context, g graph.View, source uint32, opts core.Op
 	}
 	// Same claim-once structure as BFS: dense rounds may early-exit.
 	opts.DenseEarlyExit = true
-	frontier := core.NewSingle(n, source)
+	frontier := core.NewSingle(len(levels), source)
 	for !frontier.IsEmpty() {
 		round++
 		next, err := core.EdgeMapCtx(ctx, g, frontier, funcs, opts)
 		if err != nil {
-			return levels, roundErr("bfs-levels", int(round-1), err)
+			return int(round - 1), err
 		}
 		frontier = next
 	}
-	return levels, nil
+	return int(round), nil
 }

@@ -19,9 +19,12 @@ const MaxClusterSources = 64
 
 // ClusterBFSOptions configures a bit-parallel multi-source traversal.
 type ClusterBFSOptions struct {
-	// EdgeMap options forwarded to every round. DenseEarlyExit is
-	// ignored: a dense round must scan every in-edge of a destination
-	// because distinct sources contribute distinct bits.
+	// EdgeMap options forwarded to every round. With more than one
+	// distinct source, DenseEarlyExit and DenseForward are overridden
+	// (dense rounds push forward and scan every edge, because distinct
+	// sources contribute distinct bits); a sweep whose sources are all
+	// one vertex runs as plain BFS and honours Mode, Threshold and
+	// DenseForward as given, always with early exit.
 	EdgeMap core.Options
 	// WantLevels allocates the full per-(source, vertex) level matrix
 	// (len(Sources) x n int32 values). Leave it off for large graphs and
@@ -128,10 +131,13 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 		Rounds:   0,
 		n:        n,
 	}
-	parallel.Fill(res.MaxLevel, int32(-1))
+	// Set-up and the closing publish pass run under ctx's procs lease
+	// but cannot be cut short (see uncancellable).
+	whole := uncancellable(ctx)
+	mustFill(whole, res.MaxLevel)
 	if opts.WantLevels && k > 0 {
 		res.Levels = make([]int32, k*n)
-		parallel.Fill(res.Levels, int32(-1))
+		mustFill(whole, res.Levels)
 	}
 	if len(opts.Probes) > 0 {
 		res.Probes = append([]uint32(nil), opts.Probes...)
@@ -168,6 +174,9 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 	if k == 0 {
 		res.Rounds = -1 // mirrors the historical empty-sample radii result
 		return res, ctxErr(ctx)
+	}
+	if oneRoot(sources) {
+		return oneRootSweep(ctx, g, res, opts.EdgeMap)
 	}
 
 	// The settled (cur) and in-flight (next) visit words live interleaved
@@ -284,8 +293,116 @@ func clusterSweep(ctx context.Context, g graph.View, sources []uint32, opts Clus
 	// The final iteration found no new vertices, so the largest level
 	// assigned is iters-1 (radii's historical Rounds convention).
 	res.Rounds = iters - 1
-	finishAggregates(nil, res, words)
-	return res, nil
+	return res, finishAggregates(whole, res, words)
+}
+
+// oneRoot reports whether every source is the same vertex (a batch of
+// one, or slots that repeat one source).
+func oneRoot(sources []uint32) bool {
+	for _, s := range sources[1:] {
+		if s != sources[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// oneRootSweep runs a sweep whose sources are all one vertex. Every bit
+// then travels together, so one bit finishes a vertex and the sweep is
+// the claim-once level BFS: res.MaxLevel is the level array, with Cond,
+// dense early exit and the caller's direction choice, and no visit words
+// or per-round fold. One pass afterwards derives every per-source output
+// from the levels.
+func oneRootSweep(ctx context.Context, g graph.View, res *ClusterBFSResult, opts core.Options) (*ClusterBFSResult, error) {
+	iters, err := levelRounds(ctx, g, res.Sources[0], res.MaxLevel, opts)
+	res.Rounds = iters
+	if err == nil {
+		// The final round found nothing, so the largest level is iters-1.
+		res.Rounds = iters - 1
+	}
+	if ferr := fillOneRoot(uncancellable(ctx), res, int32(iters)); err == nil {
+		err = ferr
+	}
+	return res, err
+}
+
+// fillOneRoot publishes a one-root sweep's levels (res.MaxLevel) into
+// Visit, Levels, ProbeLevels, Reached and Depth. It counts only levels up
+// to limit, the completed rounds: an interrupted round may have claimed
+// vertices at limit+1, and a partial result covers completed rounds, as
+// a multi-root sweep's does. A worker panic leaves the counts short and
+// is returned.
+func fillOneRoot(ctx context.Context, res *ClusterBFSResult, limit int32) error {
+	n, k := res.n, len(res.Sources)
+	all := ^uint64(0) >> uint(MaxClusterSources-k)
+	type acc struct {
+		reached int64
+		depth   int32
+		_       [52]byte // keep workers off each other's cache lines
+	}
+	per := make([]acc, parallel.Procs())
+	err := parallel.ForWorkerChunksCtx(ctx, n, 0, func(worker, _, lo, hi int) {
+		var reached int64
+		var depth int32
+		for v := lo; v < hi; v++ {
+			l := res.MaxLevel[v]
+			if l < 0 || l > limit {
+				continue
+			}
+			res.Visit[v] = all
+			reached++
+			depth = max(depth, l)
+			if res.Levels != nil {
+				for i := 0; i < k; i++ {
+					res.Levels[i*n+v] = l
+				}
+			}
+		}
+		per[worker].reached += reached
+		per[worker].depth = max(per[worker].depth, depth)
+	})
+	var reached int64
+	var depth int32
+	for _, a := range per {
+		reached += a.reached
+		depth = max(depth, a.depth)
+	}
+	for i := range res.Reached {
+		res.Reached[i] = reached
+		res.Depth[i] = depth
+	}
+	for j, p := range res.Probes {
+		if int(p) >= n {
+			continue // never reached, as in a multi-root sweep
+		}
+		if l := res.MaxLevel[p]; l >= 0 && l <= limit {
+			for i := range res.ProbeLevels[j] {
+				res.ProbeLevels[j][i] = l
+			}
+		}
+	}
+	return err
+}
+
+// mustFill sets every level in s to -1 under ctx's procs lease. ctx
+// cannot be cancelled, so the only failure is a worker panic, which is
+// re-raised as the plain parallel.Fill would.
+func mustFill(ctx context.Context, s []int32) {
+	if err := parallel.FillCtx(ctx, s, -1); err != nil {
+		panic(err)
+	}
+}
+
+// uncancellable keeps ctx's values — the governor's procs lease — but
+// drops its cancellation, for the O(n) passes that must run whole: the
+// set-up fills, and the pass that publishes a finished sweep, where a
+// cut would turn a complete answer into a partial one. A nil ctx stays
+// nil.
+func uncancellable(ctx context.Context) context.Context {
+	if ctx == nil {
+		return nil
+	}
+	return context.WithoutCancel(ctx)
 }
 
 // visitPair interleaves a vertex's settled and in-flight visit words so
@@ -295,17 +412,18 @@ type visitPair struct{ cur, next uint64 }
 // finishAggregates publishes the settled visit words into res.Visit and
 // computes the per-source reach counts from them (Depth is maintained
 // round by round). Safe on partial sweeps; a cancelled aggregation
-// leaves counts short, which the partial-result contract allows.
-func finishAggregates(ctx context.Context, res *ClusterBFSResult, words []visitPair) {
+// leaves counts short, which the partial-result contract allows. The
+// returned error is the aggregation's own (ctx error or worker panic).
+func finishAggregates(ctx context.Context, res *ClusterBFSResult, words []visitPair) error {
 	if len(res.Sources) == 0 {
-		return
+		return nil
 	}
 	type counts struct {
 		c [MaxClusterSources]int64
 		_ [56]byte // keep workers off each other's cache lines
 	}
 	per := make([]counts, parallel.Procs())
-	_ = parallel.ForWorkerChunksCtx(ctx, len(words), 0, func(worker, _, lo, hi int) {
+	err := parallel.ForWorkerChunksCtx(ctx, len(words), 0, func(worker, _, lo, hi int) {
 		c := &per[worker].c
 		for v := lo; v < hi; v++ {
 			w := words[v].cur
@@ -322,6 +440,7 @@ func finishAggregates(ctx context.Context, res *ClusterBFSResult, words []visitP
 		}
 		res.Reached[i] = total
 	}
+	return err
 }
 
 // containsU32 reports membership in a tiny slice (at most 64 sources, so

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"ligra/internal/core"
+	"ligra/internal/gen"
+	"ligra/internal/parallel"
 )
 
 // clusterSources picks k deterministic pseudo-random sources (with
@@ -219,5 +221,29 @@ func TestClusterBFSStatsCounted(t *testing.T) {
 	delta := core.SnapshotStats().Sub(before)
 	if delta.Calls == 0 || delta.EdgesScanned == 0 {
 		t.Fatalf("traversal stats did not move: %+v", delta)
+	}
+}
+
+// TestClusterBFSHonoursProcsLease: a sweep run under a one-worker lease
+// stays on the calling goroutine end to end — set-up, rounds and the
+// closing aggregation alike — for one root and for sixteen. The pool
+// size is forced above one so that a pass ignoring the lease would
+// dispatch. Not parallel: it reads process-wide scheduler counters.
+func TestClusterBFSHonoursProcsLease(t *testing.T) {
+	g, err := gen.RMAT(12, 8, gen.PBBSRMAT, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parallel.SetProcs(parallel.SetProcs(4))
+	ctx := parallel.WithProcs(context.Background(), 1)
+	for _, k := range []int{1, 16} {
+		sources := clusterSources(g.NumVertices(), k, 3)
+		before := parallel.SchedulerSnapshot()
+		if _, err := ClusterBFSCtx(ctx, g, sources, ClusterBFSOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if d := parallel.SchedulerSnapshot().Sub(before).Dispatches; d != 0 {
+			t.Fatalf("k=%d: %d pool dispatches under a one-worker lease", k, d)
+		}
 	}
 }

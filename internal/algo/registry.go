@@ -229,9 +229,11 @@ var runners = []Runner{
 			if err := BatchValidate("reach", g.NumVertices(), p); err != nil {
 				return RunResult{}, err
 			}
-			// One-source ClusterBFS with the target as a probe: the
-			// single-query path and the batched path share the sweep and
-			// the extraction, so batching cannot change answers.
+			// One-source ClusterBFS with the target as a probe. A sweep
+			// from one root runs as plain direction-optimizing BFS, so
+			// this costs one BFS; the single-query and batched paths
+			// share the sweep and the extraction, so batching cannot
+			// change answers.
 			res, err := ClusterBFSCtx(ctx, g, []uint32{p.Source}, ClusterBFSOptions{
 				EdgeMap: p.EdgeMapOptions(),
 				Probes:  BatchProbes("reach", p),

@@ -85,66 +85,58 @@ func (s *Set) Insert(k uint32) bool {
 	if k == empty {
 		panic("hashtable: cannot insert the reserved sentinel key")
 	}
-	// The displacement chain may be cut short by a full table while
-	// carrying a key that is no longer k: by then k itself has been
-	// placed (it displaced a lower-priority key), so the answer is known
-	// and the retries only need to re-home the carried key.
-	result, known := false, false
-	pending := k
 	for {
 		s.mu.RLock()
 		size := len(s.slots)
-		res, carry, full := s.tryInsert(pending)
+		inserted, full := s.place(k, hash32(k)&s.mask, size-1)
 		s.mu.RUnlock()
 		if !full {
-			if !known {
-				result = res
-			}
-			return result
+			return inserted
 		}
-		if carry != pending && !known {
-			// pending (== k) displaced its way into the table before the
-			// chain ran out of room, so k was absent.
-			result, known = true, true
-		}
-		pending = carry
 		s.grow(size)
 	}
 }
 
-// tryInsert runs one ordered-linear-probing pass for k under a read lock.
-// It returns (inserted, carried key, false) on completion, or
-// (_, key still needing placement, true) when the probe budget is
-// exhausted — the carried key has been *removed* from the table by a
-// displacement and must be re-inserted after growth.
-func (s *Set) tryInsert(k uint32) (bool, uint32, bool) {
-	i := hash32(k) & s.mask
+// place runs one ordered-linear-probing pass for k from slot i under a
+// read lock, inspecting at most budget+1 slots. It returns whether k was
+// placed, or full when the budget ran out with every present key still
+// present. Insert's budget of size-1 spans the table once from k's home
+// slot, and a displaced key's walk only uses what is left of it, so no
+// walk wraps back onto the slot it started from.
+//
+// k displaces a lower-priority key cur only after a copy of cur sits
+// further down the chain, so no present key is ever missing from the
+// table: a key carried in flight would let a concurrent Insert of it
+// report it new a second time. Slot priorities only rise, so every walk
+// for cur meets the same downstream copy; the original is then
+// overwritten by k, or by whichever concurrent insert displaced it
+// first.
+func (s *Set) place(k, i uint32, budget int) (inserted, full bool) {
 	pk := s.priority(k)
-	for probes := 0; probes <= len(s.slots); probes++ {
+	for ; budget >= 0; budget-- {
 		cur := atomic.LoadUint32(&s.slots[i])
 		switch {
 		case cur == k:
-			return false, k, false
+			return false, false
 		case cur == empty:
 			if atomic.CompareAndSwapUint32(&s.slots[i], empty, k) {
-				return true, k, false
+				return true, false
 			}
-			// Lost the race; re-examine the same slot.
-			probes--
+			budget++ // lost the race; re-examine the same slot
+			continue
 		case s.priority(cur) < pk:
-			// k has higher priority: displace cur and keep inserting it
-			// further down the chain (ordered linear probing).
-			if atomic.CompareAndSwapUint32(&s.slots[i], cur, k) {
-				k = cur
-				pk = s.priority(k)
+			if _, full := s.place(cur, (i+1)&s.mask, budget-1); full {
+				return false, true
 			}
-			// On CAS failure re-examine the same slot with the new value.
-			probes--
+			if atomic.CompareAndSwapUint32(&s.slots[i], cur, k) {
+				return true, false
+			}
+			budget++ // cur was displaced meanwhile; re-examine the slot
 			continue
 		}
 		i = (i + 1) & s.mask
 	}
-	return false, k, true
+	return false, true
 }
 
 // grow doubles the table observed at oldSize and rehashes every key. It

@@ -152,6 +152,16 @@ func DoCtx(ctx context.Context, thunks ...func()) error {
 	})
 }
 
+// FillCtx is the context-aware Fill.
+func FillCtx[T any](ctx context.Context, s []T, v T) error {
+	return ForRangeCtx(ctx, len(s), func(lo, hi int) {
+		sub := s[lo:hi]
+		for i := range sub {
+			sub[i] = v
+		}
+	})
+}
+
 // ReduceCtx is the context-aware Reduce.
 func ReduceCtx[T any](ctx context.Context, n int, id T, fn func(i int) T, combine func(a, b T) T) (T, error) {
 	if n <= 0 {

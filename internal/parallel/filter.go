@@ -107,12 +107,9 @@ func MapNew[T any](n int, fn func(i int) T) []T {
 
 // Fill sets every element of s to v in parallel.
 func Fill[T any](s []T, v T) {
-	ForRange(len(s), func(lo, hi int) {
-		sub := s[lo:hi]
-		for i := range sub {
-			sub[i] = v
-		}
-	})
+	if err := FillCtx(nil, s, v); err != nil {
+		panic(err)
+	}
 }
 
 // Iota fills s with s[i] = base + i.

@@ -208,7 +208,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *stats {
 		d := ligra.SnapshotTraversalStats().Sub(statsBefore)
-		fmt.Fprintf(stdout, "traversal stats: calls=%d sparse=%d dense=%d dense-forward=%d seq-rounds=%d\n",
+		fmt.Fprintf(stdout, "traversal stats: calls=%d sparse=%d dense=%d dense-forward=%d inline-sparse=%d\n",
 			d.Calls, d.Sparse, d.Dense, d.DenseForward, d.SeqRounds)
 		fmt.Fprintf(stdout, "                 frontier-vertices=%d output-vertices=%d edges-weighed=%d\n",
 			d.FrontierVertices, d.OutputVertices, d.EdgesScanned)

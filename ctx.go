@@ -32,14 +32,13 @@ type (
 
 // EdgeMapCtx is EdgeMap with cooperative cancellation; it returns a nil
 // frontier and an error if the traversal was interrupted or a worker
-// panicked. A nil ctx falls back to opts.Context (the explicit argument
-// wins when both are set).
+// panicked. A nil ctx behaves like context.Background().
 func EdgeMapCtx(ctx context.Context, g View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	return core.EdgeMapCtx(ctx, g, u, f, opts)
 }
 
 // EdgeMapDataCtx is EdgeMapData with cooperative cancellation, following
-// the same ctx-precedence contract as EdgeMapCtx.
+// the same contract as EdgeMapCtx.
 func EdgeMapDataCtx[T any](ctx context.Context, g View, u *VertexSubset, f EdgeDataFuncs[T], opts Options) (*DataSubset[T], error) {
 	return core.EdgeMapDataCtx(ctx, g, u, f, opts)
 }

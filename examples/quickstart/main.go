@@ -46,7 +46,7 @@ func main() {
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
 			return atomic.CompareAndSwapUint32(&parents[d], ligra.None, s)
 		},
-		Cond: func(d uint32) bool { return parents[d] == ligra.None },
+		Cond: func(d uint32) bool { return atomic.LoadUint32(&parents[d]) == ligra.None },
 	}
 
 	frontier := ligra.NewSingle(n, 0)

@@ -45,16 +45,6 @@ func Load(path string, opts LoadOptions) (View, error) {
 	return compress.LoadView(path, opts.Symmetric, opts.MMap)
 }
 
-// LoadGraph reads a graph file (Ligra AdjacencyGraph text format or this
-// package's binary format, auto-detected). symmetric declares whether a
-// text-format file stores an undirected graph.
-//
-// Deprecated: Use Load, which also accepts compressed files and returns
-// a View; type-assert to *Graph when the concrete CSR type is required.
-func LoadGraph(path string, symmetric bool) (*Graph, error) {
-	return graph.LoadFile(path, symmetric)
-}
-
 // SaveGraph writes a graph to a file in text (binary=false) or binary
 // format.
 func SaveGraph(path string, g *Graph, binary bool) error {
@@ -172,17 +162,6 @@ type CompressedGraph = compress.CompressedGraph
 // Compress encodes g with Ligra+ byte codes (difference-encoded varint
 // adjacency lists).
 func Compress(g *Graph) (*CompressedGraph, error) { return compress.Compress(g) }
-
-// LoadView loads a graph file in any supported format (docs/FORMATS.md),
-// sniffed by content: LIGRAGC1 compressed files load as *CompressedGraph
-// (memory-mapped when mmap is set), LIGRAGO1 binary and text files load
-// as the CSR *Graph. symmetric applies to text inputs only.
-//
-// Deprecated: Use Load, which takes the same parameters as a LoadOptions
-// struct instead of positional booleans.
-func LoadView(path string, symmetric, mmap bool) (View, error) {
-	return compress.LoadView(path, symmetric, mmap)
-}
 
 // SaveCompressed writes c to path in the LIGRAGC1 compressed format.
 func SaveCompressed(path string, c *CompressedGraph) error {

@@ -42,7 +42,7 @@ func SpanningForest(g graph.View, opts core.Options) *ForestResult {
 			}
 			return 0, false
 		},
-		Cond: func(d uint32) bool { return parents[d] == core.None },
+		Cond: func(d uint32) bool { return atomic.LoadUint32(&parents[d]) == core.None },
 	}
 
 	var forest []graph.Edge

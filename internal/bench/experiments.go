@@ -334,9 +334,8 @@ func DenseForward(cfg Config) error {
 //     the mmap-backed heap footprint (~0; the bytes live in the page cache)
 //   - format round-trip cost: WriteCompressed / ReadCompressed (full
 //     validation decode) / OpenMapped on a temp file
-//   - traversal time per backend: CSR, compressed with the blocked dense
-//     sweep (the default), compressed with NoBlockDecode (per-edge decode
-//     callback, for ablation), and the mmap-backed graph
+//   - traversal time per backend: CSR, compressed (its dense rounds take
+//     the blocked sweep unless they exit early), and the mmap-backed graph
 //
 // Per-measurement ids are recorded ("compress/<app>-<backend>") so
 // ligra-bench -against can diff decoder regressions individually.
@@ -391,26 +390,24 @@ func CompressAblation(cfg Config) error {
 
 	apps := []struct {
 		name string
-		run  func(v graph.View, o core.Options)
+		run  func(v graph.View)
 	}{
-		{"BFS", func(v graph.View, o core.Options) { algo.BFS(v, pickSource(v), o) }},
-		{"PageRank1", func(v graph.View, o core.Options) {
-			algo.PageRank(v, algo.PageRankOptions{Damping: 0.85, MaxIterations: 1, EdgeMap: o})
+		{"BFS", func(v graph.View) { algo.BFS(v, pickSource(v), core.Options{}) }},
+		{"PageRank1", func(v graph.View) {
+			algo.PageRank(v, algo.PageRankOptions{Damping: 0.85, MaxIterations: 1})
 		}},
-		{"Components", func(v graph.View, o core.Options) { algo.ConnectedComponents(v, o) }},
+		{"Components", func(v graph.View) { algo.ConnectedComponents(v, core.Options{}) }},
 	}
 	backends := []struct {
-		id   string
-		v    graph.View
-		opts core.Options
+		id string
+		v  graph.View
 	}{
-		{"csr", g, core.Options{}},
-		{"blocked", c, core.Options{}},
-		{"noblock", c, core.Options{NoBlockDecode: true}},
-		{"mmap", mapped, core.Options{}},
+		{"csr", g},
+		{"blocked", c},
+		{"mmap", mapped},
 	}
 	w := cfg.tab()
-	fmt.Fprintln(w, "Application\tCSR\tcompressed(blocked)\tcompressed(noblock)\tcompressed(mmap)\tslowdown(blocked)")
+	fmt.Fprintln(w, "Application\tCSR\tcompressed(blocked)\tcompressed(mmap)\tslowdown(blocked)")
 	for _, a := range apps {
 		if cfg.budgetExhausted(w) {
 			break
@@ -418,7 +415,7 @@ func CompressAblation(cfg Config) error {
 		row := a.name
 		var times []float64
 		for _, b := range backends {
-			tm := Measure(cfg.rounds(), func() { a.run(b.v, b.opts) })
+			tm := Measure(cfg.rounds(), func() { a.run(b.v) })
 			times = append(times, tm.Median.Seconds())
 			row += fmt.Sprintf("\t%.4f", tm.Median.Seconds())
 			cfg.record("compress/"+a.name+"-"+b.id, tm.Median.Seconds())

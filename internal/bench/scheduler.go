@@ -5,25 +5,21 @@ import (
 
 	"ligra/internal/algo"
 	"ligra/internal/core"
-	"ligra/internal/graph"
 	"ligra/internal/parallel"
 )
 
-// Scheduler times the workloads the persistent worker-pool scheduler and
-// the sequential small-round cutoff were built for: iterative algorithms
-// with many tiny rounds, where per-round dispatch overhead — not edge
-// work — sets the floor. The high-diameter 3d-grid runs BFS for ~O(n^1/3)
+// Scheduler times the workloads the persistent worker-pool scheduler was
+// built for: iterative algorithms with many tiny rounds, where per-round
+// dispatch overhead — not edge work — sets the floor. The high-diameter 3d-grid runs BFS for ~O(n^1/3)
 // rounds with small frontiers throughout, and BellmanFord multiplies that
 // by weight-driven re-relaxation; rMat BFS is the low-diameter contrast
 // where only the first and last rounds are tiny.
 //
-// Each workload is measured twice — cutoff enabled (default) and disabled
-// (SeqCutoff < 0) — so the report separates the cutoff's contribution
-// from the pool's. Alongside the timings the experiment prints the
-// per-run traversal rounds, how many of them the cutoff took
-// (TraversalStats.SeqRounds), and the scheduler's dispatch/inline counter
-// deltas. Both timings are recorded (Config.Record) as scheduler/<id> and
-// scheduler/<id>-nocutoff for -against comparisons.
+// Alongside the timings the experiment prints the per-run traversal
+// rounds, how many of them were sparse rounds run entirely on the calling
+// goroutine (TraversalStats.SeqRounds), and the scheduler's
+// dispatch/inline counter deltas. Timings are recorded (Config.Record) as
+// scheduler/<id> for -against comparisons.
 func Scheduler(cfg Config) error {
 	suite := DefaultSuite(cfg.Scale)
 	gridIn, err := FindInput(suite, "3d-grid")
@@ -48,39 +44,33 @@ func Scheduler(cfg Config) error {
 
 	fmt.Fprintf(cfg.Out, "Scheduler: small-round workloads (seconds, median of %d; pool workers=%d)\n",
 		cfg.rounds(), parallel.SchedulerSnapshot().PoolWorkers)
-	fmt.Fprintln(cfg.Out, "  cutoff = rounds with |U|+outDeg(U) <= SeqCutoff run inline; nocutoff disables it")
+	fmt.Fprintln(cfg.Out, "  inline sparse = sparse rounds run entirely on the calling goroutine (one-proc lease or one chunk)")
 
 	workloads := []struct {
 		id  string
-		g   graph.View
-		run func(opts core.Options)
+		run func()
 	}{
-		{"BFS-3dgrid", grid, func(o core.Options) { algo.BFS(grid, gridSrc, o) }},
-		{"BellmanFord-3dgrid", wgrid, func(o core.Options) { algo.BellmanFord(wgrid, gridSrc, o) }},
-		{"BFS-rMat", rmat, func(o core.Options) { algo.BFS(rmat, rmatSrc, o) }},
+		{"BFS-3dgrid", func() { algo.BFS(grid, gridSrc, core.Options{}) }},
+		{"BellmanFord-3dgrid", func() { algo.BellmanFord(wgrid, gridSrc, core.Options{}) }},
+		{"BFS-rMat", func() { algo.BFS(rmat, rmatSrc, core.Options{}) }},
 	}
 	w := cfg.tab()
-	fmt.Fprintln(w, "Workload\tmedian\tnocutoff\tspeedup\trounds\tseq rounds\tdispatches\tinline")
+	fmt.Fprintln(w, "Workload\tmedian\trounds\tinline sparse\tdispatches\tinline")
 	for _, wl := range workloads {
 		if cfg.budgetExhausted(w) {
 			break
 		}
 		tBefore := core.SnapshotStats()
 		sBefore := parallel.SchedulerSnapshot()
-		tm := Measure(cfg.rounds(), func() { wl.run(core.Options{}) })
+		tm := Measure(cfg.rounds(), wl.run)
 		tDelta := core.SnapshotStats().Sub(tBefore)
 		sDelta := parallel.SchedulerSnapshot().Sub(sBefore)
 
-		tmNo := Measure(cfg.rounds(), func() { wl.run(core.Options{SeqCutoff: -1}) })
-
 		rounds := int64(cfg.rounds())
-		fmt.Fprintf(w, "%s\t%.4f\t%.4f\t%.2fx\t%d\t%d\t%d\t%d\n",
-			wl.id, tm.Median.Seconds(), tmNo.Median.Seconds(),
-			tmNo.Median.Seconds()/tm.Median.Seconds(),
-			tDelta.Calls/rounds, tDelta.SeqRounds/rounds,
+		fmt.Fprintf(w, "%s\t%.4f\t%d\t%d\t%d\t%d\n",
+			wl.id, tm.Median.Seconds(), tDelta.Calls/rounds, tDelta.SeqRounds/rounds,
 			sDelta.Dispatches/rounds, sDelta.InlineRuns/rounds)
 		cfg.record("scheduler/"+wl.id, tm.Median.Seconds())
-		cfg.record("scheduler/"+wl.id+"-nocutoff", tmNo.Median.Seconds())
 	}
 	return w.Flush()
 }

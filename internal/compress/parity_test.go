@@ -11,6 +11,7 @@ import (
 	"ligra/internal/core"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
+	"ligra/internal/seq"
 )
 
 // parityParams fills the registry parameters each runner needs, with
@@ -201,11 +202,12 @@ func TestTraversalStatsParity(t *testing.T) {
 	}
 }
 
-// TestBlockedDecodeAblation forces dense rounds and checks the
-// partition-blocked decoder and the plain per-vertex fallback
-// (Options.NoBlockDecode) produce identical results on the compressed
-// backend.
-func TestBlockedDecodeAblation(t *testing.T) {
+// TestBlockedSweepMatchesCSR forces dense rounds, so every components and
+// pagerank round on the compressed graph takes the partition-blocked sweep
+// (BFS's early-exit rounds take the per-vertex decoder), and requires the
+// results of the same runner on the raw CSR source. Components labels and
+// BFS levels are also checked against the sequential oracles.
+func TestBlockedSweepMatchesCSR(t *testing.T) {
 	g := mustRMAT(t, 10, 5)
 	c, err := Compress(g)
 	if err != nil {
@@ -218,21 +220,29 @@ func TestBlockedDecodeAblation(t *testing.T) {
 	ctx := context.Background()
 	for _, app := range []string{"bfs", "components", "pagerank"} {
 		r := byName[app]
-		pb := parityParams(r, core.Options{})
-		pb.Mode = "dense"
-		pn := parityParams(r, core.Options{NoBlockDecode: true})
-		pn.Mode = "dense"
-		blocked, err := r.Run(ctx, c, pb)
+		p := parityParams(r, core.Options{})
+		p.Mode = "dense"
+		want, err := r.Run(ctx, g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		noblock, err := r.Run(ctx, c, pn)
+		got, err := r.Run(ctx, c, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, nondet := nondetDetails[app]; !nondet && blocked.Summary != noblock.Summary {
-			t.Errorf("%s: summary differs:\n  blocked: %s\n  noblock: %s", app, blocked.Summary, noblock.Summary)
+		if _, nondet := nondetDetails[app]; !nondet && want.Summary != got.Summary {
+			t.Errorf("%s: summary differs:\n  csr:        %s\n  compressed: %s", app, want.Summary, got.Summary)
 		}
-		closeDetails(t, app, blocked.Details, noblock.Details)
+		closeDetails(t, app, want.Details, got.Details)
+	}
+
+	dense := core.Options{Mode: core.ForceDense}
+	labels := algo.ConnectedComponents(c, dense).Labels
+	if wantLabels := seq.ConnectedComponents(g); !reflect.DeepEqual(labels, wantLabels) {
+		t.Error("components labels on the compressed graph differ from seq.ConnectedComponents")
+	}
+	levels := algo.BFSLevels(c, 1, dense)
+	if wantLevels := seq.BFSLevels(g, 1); !reflect.DeepEqual(levels, wantLevels) {
+		t.Error("BFS levels on the compressed graph differ from seq.BFSLevels")
 	}
 }

@@ -34,16 +34,18 @@ func TestEdgeMapCtxPreCancelled(t *testing.T) {
 
 func TestEdgeMapCtxCancelDuringTraversal(t *testing.T) {
 	g := testGraph(t)
-	u := NewSingle(g.NumVertices(), 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool {
+	for _, mode := range []Mode{ForceSparse, ForceDense} {
+		u := NewSingle(g.NumVertices(), 0)
+		ctx, cancel := context.WithCancel(context.Background())
+		f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool {
+			cancel()
+			return true
+		}}
+		_, err := EdgeMapCtx(ctx, g, u, f, Options{Mode: mode})
 		cancel()
-		return true
-	}}
-	_, err := EdgeMapCtx(ctx, g, u, f, Options{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("mode=%v: err = %v, want context.Canceled", mode, err)
+		}
 	}
 }
 
@@ -71,17 +73,23 @@ func TestEdgeMapCtxMatchesEdgeMapWithoutContext(t *testing.T) {
 
 func TestEdgeMapCtxWorkerPanicBecomesError(t *testing.T) {
 	g := testGraph(t)
-	u := NewSingle(g.NumVertices(), 0)
 	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool {
 		panic("bad update")
 	}}
-	_, err := EdgeMapCtx(context.Background(), g, u, f, Options{})
-	var pe *parallel.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *parallel.PanicError", err)
-	}
-	if pe.Value != "bad update" {
-		t.Errorf("PanicError.Value = %v", pe.Value)
+	for _, mode := range []Mode{ForceSparse, ForceDense} {
+		u := NewSingle(g.NumVertices(), 0)
+		before := SnapshotStats()
+		_, err := EdgeMapCtx(context.Background(), g, u, f, Options{Mode: mode})
+		var pe *parallel.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("mode=%v: err = %v, want *parallel.PanicError", mode, err)
+		}
+		if pe.Value != "bad update" {
+			t.Errorf("mode=%v: PanicError.Value = %v", mode, pe.Value)
+		}
+		if d := SnapshotStats().Sub(before); d.Calls != 0 {
+			t.Errorf("mode=%v: failed round recorded %d calls, want 0", mode, d.Calls)
+		}
 	}
 }
 
@@ -133,29 +141,6 @@ func TestEdgeMapCtxFaultInjectedCancel(t *testing.T) {
 	_, err := EdgeMapCtx(ctx, g, u, f, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled from injected round fault", err)
-	}
-}
-
-func TestEdgeMapCtxOptionsContextFallback(t *testing.T) {
-	g := testGraph(t)
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	// Nil explicit ctx: opts.Context is honored.
-	u := NewSingle(g.NumVertices(), 0)
-	f := EdgeFuncs{UpdateAtomic: func(s, d uint32, _ int32) bool { return true }}
-	_, err := EdgeMapCtx(nil, g, u, f, Options{Context: cancelled})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("nil ctx + cancelled opts.Context: err = %v, want context.Canceled", err)
-	}
-
-	// Explicit ctx wins over opts.Context.
-	out, err := EdgeMapCtx(context.Background(), g, u, f, Options{Context: cancelled})
-	if err != nil {
-		t.Fatalf("explicit background ctx should override cancelled opts.Context, got %v", err)
-	}
-	if out == nil {
-		t.Fatal("explicit background ctx returned a nil frontier")
 	}
 }
 
@@ -215,5 +200,30 @@ func TestEdgeMapDataCtxCancelAndProcs(t *testing.T) {
 	want := EdgeMapData(g, u, f, Options{})
 	if got.Size() != want.Size() {
 		t.Errorf("capped EdgeMapDataCtx produced %d pairs, want %d", got.Size(), want.Size())
+	}
+}
+
+// TestEdgeMapDataSharesRoundHooks checks EdgeMapData runs the same front
+// half as EdgeMap: it fires the per-round fault hook and records into
+// Options.Trace.
+func TestEdgeMapDataSharesRoundHooks(t *testing.T) {
+	g := testGraph(t)
+	f := EdgeDataFuncs[uint32]{UpdateAtomic: func(s, d uint32, _ int32) (uint32, bool) {
+		return s, true
+	}}
+	ctx, disarm := faultinject.CancelOnRound(context.Background(), 1)
+	_, err := EdgeMapDataCtx(ctx, g, NewSingle(g.NumVertices(), 0), f, Options{})
+	disarm()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled from injected round fault", err)
+	}
+
+	tr := &Trace{}
+	out := EdgeMapData(g, NewSingle(g.NumVertices(), 0), f, Options{Threshold: 100, Trace: tr})
+	if len(tr.Entries) != 1 {
+		t.Fatalf("trace has %d entries, want 1", len(tr.Entries))
+	}
+	if e := tr.Entries[0]; e.Dense || e.FrontierSize != 1 || e.OutDegrees != 2 || e.OutputSize != out.Size() {
+		t.Errorf("trace entry = %+v, want sparse, frontier 1, out-degrees 2, output %d", e, out.Size())
 	}
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"runtime/debug"
 
-	"ligra/internal/faultinject"
 	"ligra/internal/graph"
 	"ligra/internal/parallel"
 )
@@ -77,7 +75,6 @@ type EdgeDataFuncs[T any] struct {
 // propagates as a panic whose value is a *parallel.PanicError; use
 // EdgeMapDataCtx for cooperative cancellation.
 func EdgeMapData[T any](g graph.View, u *VertexSubset, f EdgeDataFuncs[T], opts Options) *DataSubset[T] {
-	opts.Context = nil
 	out, err := EdgeMapDataCtx(nil, g, u, f, opts)
 	if err != nil {
 		panic(err)
@@ -87,77 +84,37 @@ func EdgeMapData[T any](g graph.View, u *VertexSubset, f EdgeDataFuncs[T], opts 
 
 // EdgeMapDataCtx is EdgeMapData with cooperative cancellation and panic
 // containment, mirroring EdgeMapCtx's contract: ctx (nil = background) is
-// observed at chunk granularity, with opts.Context used as a fallback
-// only when the explicit ctx argument is nil. On interruption it returns
+// observed at chunk granularity. On interruption it returns
 // (nil, ctx.Err()); updates already applied are not rolled back. A worker
 // panic is returned as a *parallel.PanicError.
 func EdgeMapDataCtx[T any](ctx context.Context, g graph.View, u *VertexSubset, f EdgeDataFuncs[T], opts Options) (*DataSubset[T], error) {
-	n := g.NumVertices()
-	if u.UniverseSize() != n {
-		panic("core: EdgeMapData frontier universe does not match graph")
-	}
-	ctx = opts.resolveCtx(ctx)
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if u.IsEmpty() {
-		globalStats.record(0, 0, false, false, false, 0)
-		return NewDataSubset[T](n, nil), nil
-	}
-
-	threshold := opts.Threshold
-	if threshold <= 0 {
-		threshold = g.NumEdges() / DefaultThresholdDenominator
-	}
-	outDeg, err := frontierOutDegrees(ctx, g, u, threshold-int64(u.Size()))
+	// Dense rounds always pull: there is no write-based data variant.
+	opts.DenseForward = false
+	r, err := beginRound(ctx, g, u, opts)
 	if err != nil {
 		return nil, err
-	}
-	dense := int64(u.Size())+outDeg > threshold
-	switch opts.Mode {
-	case ForceSparse:
-		dense = false
-	case ForceDense:
-		dense = true
 	}
 	var out *DataSubset[T]
-	seq := !dense && seqBypass(opts, int64(u.Size())+outDeg)
-	if seq {
-		out, err = edgeMapDataSparseSeq(ctx, g, u, f, opts)
-	} else if dense {
-		out, err = edgeMapDataDense(ctx, g, u, f, opts)
-	} else {
-		out, err = edgeMapDataSparse(ctx, g, u, f, opts)
+	inline := false
+	switch {
+	case u.IsEmpty():
+		out = NewDataSubset[T](g.NumVertices(), nil)
+	case r.dense:
+		out, err = edgeMapDataDense(r.ctx, g, u, f, opts)
+	default:
+		out, inline, err = edgeMapDataSparse(r.ctx, g, u, f, opts)
 	}
 	if err != nil {
 		return nil, err
 	}
-	globalStats.record(u.Size(), outDeg, dense, false, seq, out.Size())
+	r.end(out.Size(), inline)
 	return out, nil
 }
 
-// edgeMapDataSparseSeq is the sequential small-round bypass for
-// EdgeMapData (see edgeMapSparseSeq): same winning-pair output in
-// frontier edge order and same dedup semantics as edgeMapDataSparse,
-// with no slot allocation, scan, or dispatch.
-func edgeMapDataSparseSeq[T any](ctx context.Context, g graph.View, u *VertexSubset, f EdgeDataFuncs[T], opts Options) (out *DataSubset[T], err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pe, ok := r.(*parallel.PanicError); ok {
-				err = pe
-				return
-			}
-			err = &parallel.PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	faultinject.OnChunk()
+// edgeMapDataSparse pushes over the frontier's out-edges, gathering the
+// winning (d, value) pairs in frontier edge order through pushChunks, the
+// same output machinery as edgeMapSparse.
+func edgeMapDataSparse[T any](ctx context.Context, g graph.View, u *VertexSubset, f EdgeDataFuncs[T], opts Options) (*DataSubset[T], bool, error) {
 	n := g.NumVertices()
 	ids := u.ToSparse()
 	update := f.UpdateAtomic
@@ -165,69 +122,27 @@ func edgeMapDataSparseSeq[T any](ctx context.Context, g graph.View, u *VertexSub
 		update = f.Update
 	}
 	cond := f.Cond
-	var pairs []Pair[T]
-	for _, s := range ids {
-		g.OutNeighbors(s, func(d uint32, w int32) bool {
-			if cond == nil || cond(d) {
-				if val, ok := update(s, d, w); ok {
-					pairs = append(pairs, Pair[T]{V: d, Val: val})
+	pairs, inline, err := pushChunks(ctx, len(ids), func(lo, hi int, buf []Pair[T]) []Pair[T] {
+		for i := lo; i < hi; i++ {
+			s := ids[i]
+			g.OutNeighbors(s, func(d uint32, w int32) bool {
+				if cond == nil || cond(d) {
+					if val, ok := update(s, d, w); ok {
+						buf = append(buf, Pair[T]{V: d, Val: val})
+					}
 				}
-			}
-			return true
-		})
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+				return true
+			})
 		}
-	}
-	if opts.RemoveDuplicates && len(pairs) > 1 {
-		pairs = dedupPairs(n, pairs)
-	}
-	return NewDataSubset(n, pairs), nil
-}
-
-// edgeMapDataSparse pushes over the frontier's out-edges, gathering
-// winning (d, value) pairs via prefix-sum slots and a pack.
-func edgeMapDataSparse[T any](ctx context.Context, g graph.View, u *VertexSubset, f EdgeDataFuncs[T], opts Options) (*DataSubset[T], error) {
-	n := g.NumVertices()
-	ids := u.ToSparse()
-	update := f.UpdateAtomic
-	if update == nil {
-		update = f.Update
-	}
-	cond := f.Cond
-
-	offsets, total := parallel.ScanFunc(len(ids), func(i int) int64 {
-		return int64(g.OutDegree(ids[i]))
-	})
-	type slot struct {
-		pair  Pair[T]
-		valid bool
-	}
-	slots := make([]slot, total)
-	err := parallel.ForCtx(ctx, len(ids), func(i int) {
-		s := ids[i]
-		k := offsets[i]
-		g.OutNeighbors(s, func(d uint32, w int32) bool {
-			if cond == nil || cond(d) {
-				if val, ok := update(s, d, w); ok {
-					slots[k] = slot{pair: Pair[T]{V: d, Val: val}, valid: true}
-				}
-			}
-			k++
-			return true
-		})
+		return buf
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	kept := parallel.Filter(slots, func(sl slot) bool { return sl.valid })
-	pairs := parallel.MapNew(len(kept), func(i int) Pair[T] { return kept[i].pair })
 	if opts.RemoveDuplicates && len(pairs) > 1 {
 		pairs = dedupPairs(n, pairs)
 	}
-	return NewDataSubset(n, pairs), nil
+	return NewDataSubset(n, pairs), inline, nil
 }
 
 // dedupPairs keeps one pair per vertex (the first claimant) using the

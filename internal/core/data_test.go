@@ -120,12 +120,11 @@ func TestEdgeMapDataRemoveDuplicates(t *testing.T) {
 		UpdateAtomic: func(s, d uint32, _ int32) (uint32, bool) { return s, true },
 	}
 	out := EdgeMapData(g, u, f, Options{Mode: ForceSparse, RemoveDuplicates: true})
-	got := map[uint32]int{}
-	for _, p := range out.Pairs() {
-		got[p.V]++
-	}
-	if got[2] != 1 || got[3] != 1 || len(got) != 2 {
-		t.Errorf("dedup output = %v", out.Pairs())
+	// Pairs come in frontier edge order and dedup keeps the first
+	// claimant: 0->2 wins over 1->2.
+	want := []Pair[uint32]{{V: 2, Val: 0}, {V: 3, Val: 1}}
+	if got := out.Pairs(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("dedup output = %v, want %v", got, want)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/bits"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,64 +82,17 @@ type Options struct {
 	// Trace, when non-nil, records one entry per EdgeMap call for the
 	// frontier-trace experiments.
 	Trace *Trace
-	// Context is a fallback cancellation context for callers that cannot
-	// pass one explicitly: EdgeMapCtx and EdgeMapDataCtx use it only when
-	// their explicit ctx argument is nil (the explicit argument always
-	// takes precedence). Plain EdgeMap ignores it (it has no way to
-	// report the error); use EdgeMapCtx.
-	Context context.Context
 	// Procs, when positive, caps the number of worker goroutines used by
 	// every parallel loop of this call at min(Procs, the process-wide
 	// setting). It is how a server grants each query a bounded share of
 	// the machine (see parallel.WithProcs); 0 inherits the cap already on
 	// the context, if any.
 	Procs int
-	// NoBlockDecode disables the partition-blocked dense sweep for
-	// backends that implement graph.InBlockDecoder (the compressed
-	// backend), falling back to the per-edge decode callback. The blocked
-	// sweep decodes a cache-sized block of destinations' in-lists once
-	// per round and runs the tight CSR-style loop over the decoded
-	// arrays; it is on by default for dense rounds without DenseEarlyExit
-	// (early-exit rounds stop a row after the first hit, where the lazy
-	// per-vertex decoder wins) and this flag exists for ablation
-	// (ligra-bench -experiment compress measures both).
-	NoBlockDecode bool
-	// SeqCutoff tunes the sequential small-round bypass: a round whose
-	// total estimated work |U| + outDegrees(U) is at or below the cutoff
-	// (and that the direction heuristic sends sparse) runs entirely on
-	// the calling goroutine, with none of the chunk/dispatch machinery.
-	// This is the common case for the long frontier tails of BFS and
-	// BellmanFord on high-diameter graphs, where a round touches a
-	// handful of edges. 0 selects DefaultSeqCutoff; a negative value
-	// disables the bypass. Bypassed rounds are counted in
-	// TraversalStats.SeqRounds.
-	SeqCutoff int64
-}
-
-// resolveCtx merges the explicit ctx argument with the options: the
-// explicit argument wins when non-nil, falling back to opts.Context, and
-// a positive Procs caps the worker count of every parallel loop run under
-// the returned context.
-func (o Options) resolveCtx(ctx context.Context) context.Context {
-	if ctx == nil {
-		ctx = o.Context
-	}
-	if o.Procs > 0 {
-		ctx = parallel.WithProcs(ctx, o.Procs)
-	}
-	return ctx
 }
 
 // DefaultThresholdDenominator is the paper's frontier-size switch constant:
 // edgeMap goes dense when |U| + outDegrees(U) > |E|/20.
 const DefaultThresholdDenominator = 20
-
-// DefaultSeqCutoff is the default Options.SeqCutoff: sparse rounds with
-// |U| + outDegrees(U) at or below this run sequentially. Roughly a
-// thousand cheap per-edge updates cost less than one scheduler dispatch
-// plus the per-worker buffer and reassembly machinery of the parallel
-// sparse path.
-const DefaultSeqCutoff = 1024
 
 // TraceEntry records one EdgeMap invocation for the fig-frontier
 // experiment.
@@ -183,11 +135,9 @@ func putScratch(s []uint32) { scratchPool.Put(s) }
 // in-edges of all vertices) according to the frontier-size heuristic; see
 // Options to force a mode or tune the threshold.
 //
-// EdgeMap ignores Options.Context (it cannot report a cancellation error);
-// a worker panic propagates as a panic whose value is a
+// A worker panic propagates as a panic whose value is a
 // *parallel.PanicError. Use EdgeMapCtx for cooperative cancellation.
 func EdgeMap(g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) *VertexSubset {
-	opts.Context = nil
 	out, err := EdgeMapCtx(nil, g, u, f, opts)
 	if err != nil {
 		// Without a context the only possible error is a contained worker
@@ -199,100 +149,107 @@ func EdgeMap(g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) *VertexSu
 
 // EdgeMapCtx is EdgeMap with cooperative cancellation and panic
 // containment. ctx is the cancellation context (nil behaves like
-// context.Background()); when ctx is nil, opts.Context — kept as a
-// fallback for callers that thread options through deep call chains — is
-// used instead, so the explicit argument always takes precedence.
-// Cancellation is observed at chunk granularity: the traversal stops
-// dispatching work within one chunk and returns (nil, ctx.Err()). Updates
-// already applied when the traversal aborts are NOT rolled back —
-// per-vertex state mutated by f keeps all completed writes, which is what
-// gives algorithms their partial results. A panic in a worker is returned
-// as a *parallel.PanicError instead of panicking.
+// context.Background()). Cancellation is observed at chunk granularity:
+// the traversal stops dispatching work within one chunk and returns
+// (nil, ctx.Err()). Updates already applied when the traversal aborts are
+// NOT rolled back — per-vertex state mutated by f keeps all completed
+// writes, which is what gives algorithms their partial results. A panic
+// in a worker is returned as a *parallel.PanicError instead of panicking.
 func EdgeMapCtx(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
-	n := g.NumVertices()
-	if u.UniverseSize() != n {
+	r, err := beginRound(ctx, g, u, opts)
+	if err != nil {
+		return nil, err
+	}
+	var out *VertexSubset
+	inline := false
+	switch {
+	case u.IsEmpty():
+		out = NewEmpty(g.NumVertices())
+	case r.fwd:
+		out, err = edgeMapDenseForward(r.ctx, g, u, f, opts)
+	case r.dense:
+		out, err = edgeMapDense(r.ctx, g, u, f, opts)
+	default:
+		out, inline, err = edgeMapSparse(r.ctx, g, u, f, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.end(out.Size(), inline)
+	return out, nil
+}
+
+// round is the part of one EdgeMap / EdgeMapData call that does not depend
+// on the output type: the resolved context and the direction decision,
+// kept until the call ends so stats and the trace can record it.
+type round struct {
+	ctx    context.Context
+	u      *VertexSubset
+	trace  *Trace
+	start  time.Time
+	outDeg int64
+	dense  bool
+	fwd    bool // dense and Options.DenseForward
+}
+
+// beginRound is the front half EdgeMapCtx and EdgeMapDataCtx share: the
+// universe check, the per-round fault hook, the Options.Procs lease, and
+// for a non-empty frontier the paper's |U| + outDegrees(U) > threshold
+// decision (threshold 0 = |E|/20) with the Options.Mode override. An
+// empty frontier is a sparse round with nothing to do.
+func beginRound(ctx context.Context, g graph.View, u *VertexSubset, opts Options) (round, error) {
+	if u.UniverseSize() != g.NumVertices() {
 		panic("core: EdgeMap frontier universe does not match graph")
 	}
 	faultinject.OnRound()
-	ctx = opts.resolveCtx(ctx)
+	if opts.Procs > 0 {
+		ctx = parallel.WithProcs(ctx, opts.Procs)
+	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return round{}, err
 		}
 	}
-	start := time.Now()
+	r := round{ctx: ctx, u: u, trace: opts.Trace, start: time.Now()}
 	if u.IsEmpty() {
-		out := NewEmpty(n)
-		globalStats.record(0, 0, false, false, false, 0)
-		traceRecord(opts.Trace, u, 0, false, false, out, start)
-		return out, nil
+		return r, nil
 	}
-
 	threshold := opts.Threshold
 	if threshold <= 0 {
 		threshold = g.NumEdges() / DefaultThresholdDenominator
 	}
 	outDeg, err := frontierOutDegrees(ctx, g, u, threshold-int64(u.Size()))
 	if err != nil {
-		return nil, err
+		return round{}, err
 	}
-	dense := int64(u.Size())+outDeg > threshold
+	r.outDeg = outDeg
+	r.dense = int64(u.Size())+outDeg > threshold
 	switch opts.Mode {
 	case ForceSparse:
-		dense = false
+		r.dense = false
 	case ForceDense:
-		dense = true
+		r.dense = true
 	}
-
-	var out *VertexSubset
-	seq := !dense && seqBypass(opts, int64(u.Size())+outDeg)
-	if seq {
-		out, err = edgeMapSparseSeq(ctx, g, u, f, opts)
-	} else if dense {
-		if opts.DenseForward {
-			out, err = edgeMapDenseForward(ctx, g, u, f, opts)
-		} else {
-			out, err = edgeMapDense(ctx, g, u, f, opts)
-		}
-	} else {
-		out, err = edgeMapSparse(ctx, g, u, f, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	globalStats.record(u.Size(), outDeg, dense, dense && opts.DenseForward, seq, out.Size())
-	traceRecord(opts.Trace, u, outDeg, dense, dense && opts.DenseForward, out, start)
-	return out, nil
+	r.fwd = r.dense && opts.DenseForward
+	return r, nil
 }
 
-// seqBypass decides whether a round the heuristic already sent sparse is
-// small enough to run sequentially. total is |U| + outDegrees(U) as
-// weighed by the direction heuristic; because the heuristic's degree scan
-// short-circuits only after exceeding the dense threshold, a capped
-// (partial) sum can under-report total only when it already exceeds the
-// threshold — and for any graph where the threshold is at least the
-// cutoff, such a round fails the comparison anyway, so the bypass never
-// mistakes a large round for a small one beyond tiny-graph noise.
-func seqBypass(opts Options, total int64) bool {
-	cutoff := opts.SeqCutoff
-	if cutoff == 0 {
-		cutoff = DefaultSeqCutoff
-	}
-	return cutoff > 0 && total <= cutoff
-}
-
-func traceRecord(t *Trace, u *VertexSubset, outDeg int64, dense, fwd bool, out *VertexSubset, start time.Time) {
-	if t == nil {
+// end records a completed round in the process-wide stats and the trace.
+// inline reports a sparse traversal that ran entirely on the calling
+// goroutine.
+func (r *round) end(output int, inline bool) {
+	globalStats.record(r.u.Size(), r.outDeg, r.dense, r.fwd, inline, output)
+	if r.trace == nil {
 		return
 	}
-	t.Entries = append(t.Entries, TraceEntry{
-		Round:        len(t.Entries),
-		FrontierSize: u.Size(),
-		OutDegrees:   outDeg,
-		Dense:        dense,
-		DenseForward: fwd,
-		OutputSize:   out.Size(),
-		Duration:     time.Since(start),
+	r.trace.Entries = append(r.trace.Entries, TraceEntry{
+		Round:        len(r.trace.Entries),
+		FrontierSize: r.u.Size(),
+		OutDegrees:   r.outDeg,
+		Dense:        r.dense,
+		DenseForward: r.fwd,
+		OutputSize:   output,
+		Duration:     time.Since(r.start),
 	})
 }
 
@@ -372,25 +329,67 @@ type sparseSeg struct {
 	chunk, start, end int
 }
 
-// sparseWorkerBuf is one worker's private output accumulation for
-// edgeMapSparse. Workers only ever touch their own entry, so appends are
-// contention-free; the trailing pad keeps neighbouring workers' slice
+// sparseWorkerBuf is one worker's private output accumulation for the
+// sparse traversals. Workers only ever touch their own entry, so appends
+// are contention-free; the trailing pad keeps neighbouring workers' slice
 // headers on different cache lines.
-type sparseWorkerBuf struct {
-	ids  []uint32
+type sparseWorkerBuf[E any] struct {
+	out  []E
 	segs []sparseSeg
 	_    [16]byte
 }
 
+// pushChunks runs the chunks of [0, n) through body, which appends the
+// outputs of frontier positions [lo, hi) to buf and returns it. Outputs
+// land in per-worker buffers (no shared cursor, no atomics, no
+// degree-sized scratch with sentinel holes) and are concatenated afterward
+// in chunk order, so the result is every output in frontier edge order at
+// the cost of writing only the successes. inline reports that the whole
+// loop ran on the calling goroutine: a one-proc lease or a single chunk.
+func pushChunks[E any](ctx context.Context, n int, body func(lo, hi int, buf []E) []E) (out []E, inline bool, err error) {
+	procs := parallel.CtxProcs(ctx)
+	grain := parallel.AutoGrainCtx(ctx, n)
+	nchunks := (n + grain - 1) / grain
+	workers := make([]sparseWorkerBuf[E], procs)
+	segLen := make([]int64, nchunks)
+	err = parallel.ForWorkerChunksCtx(ctx, n, grain, func(wk, c, lo, hi int) {
+		wb := &workers[wk]
+		start := len(wb.out)
+		wb.out = body(lo, hi, wb.out)
+		wb.segs = append(wb.segs, sparseSeg{chunk: c, start: start, end: len(wb.out)})
+		// Each chunk is dispatched to exactly one worker: no contention.
+		segLen[c] = int64(len(wb.out) - start)
+	})
+	if err != nil {
+		// Undispatched chunks never wrote their segment; no frontier can
+		// be derived from the partial buffers.
+		return nil, false, err
+	}
+	inline = procs == 1 || nchunks <= 1
+	if len(workers[0].segs) == nchunks {
+		// Worker 0 ran every chunk, in claim order, so its buffer is the
+		// output. Always the case for an inline loop.
+		return workers[0].out, inline, nil
+	}
+	// Exclusive scan turns per-chunk lengths into output offsets; each
+	// worker then copies its segments into place in parallel.
+	total := parallel.ScanExclusive(segLen, segLen)
+	out = make([]E, total)
+	parallel.For(len(workers), func(wk int) {
+		wb := &workers[wk]
+		for _, sg := range wb.segs {
+			copy(out[segLen[sg.chunk]:], wb.out[sg.start:sg.end])
+		}
+	})
+	return out, inline, nil
+}
+
 // edgeMapSparse is Ligra's edgeMapSparse: push over the out-edges of the
-// frontier vertices. Successful targets are appended to per-worker output
-// buffers (no shared cursor, no atomics, no degree-sized scratch with
-// sentinel holes) and concatenated afterward in chunk order, so the
-// output is exactly the old prefix-sum-and-pack result — successes in
-// frontier edge order — at the cost of writing only the successes instead
-// of one slot per scanned edge. CSR graphs take a raw-slice fast path
-// that avoids the per-edge iterator callback.
-func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
+// frontier vertices, collecting successful targets through pushChunks.
+// CSR graphs take a raw-slice fast path that avoids the per-edge iterator
+// callback. inline is pushChunks' report, counted in
+// TraversalStats.SeqRounds.
+func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, bool, error) {
 	n := g.NumVertices()
 	ids := u.ToSparse()
 	update := f.UpdateAtomic
@@ -398,45 +397,9 @@ func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFun
 		update = f.Update
 	}
 	cond := f.Cond
+	keep := !opts.NoOutput
 	csr, _ := g.(*graph.Graph)
-
-	if opts.NoOutput {
-		err := parallel.ForCtx(ctx, len(ids), func(i int) {
-			s := ids[i]
-			if csr != nil {
-				row, wts := csr.OutEdgesSlice(s)
-				for j, d := range row {
-					if cond == nil || cond(d) {
-						w := int32(1)
-						if wts != nil {
-							w = wts[j]
-						}
-						update(s, d, w)
-					}
-				}
-				return
-			}
-			g.OutNeighbors(s, func(d uint32, w int32) bool {
-				if cond == nil || cond(d) {
-					update(s, d, w)
-				}
-				return true
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		return NewEmpty(n), nil
-	}
-
-	grain := parallel.AutoGrainCtx(ctx, len(ids))
-	nchunks := (len(ids) + grain - 1) / grain
-	workers := make([]sparseWorkerBuf, parallel.CtxProcs(ctx))
-	segLen := make([]int64, nchunks)
-	err := parallel.ForWorkerChunksCtx(ctx, len(ids), grain, func(wk, c, lo, hi int) {
-		wb := &workers[wk]
-		buf := wb.ids
-		start := len(buf)
+	outIDs, inline, err := pushChunks(ctx, len(ids), func(lo, hi int, buf []uint32) []uint32 {
 		for i := lo; i < hi; i++ {
 			s := ids[i]
 			if csr != nil {
@@ -446,113 +409,23 @@ func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFun
 					if wts != nil {
 						w = wts[j]
 					}
-					if (cond == nil || cond(d)) && update(s, d, w) {
+					if (cond == nil || cond(d)) && update(s, d, w) && keep {
 						buf = append(buf, d)
 					}
 				}
 				continue
 			}
 			g.OutNeighbors(s, func(d uint32, w int32) bool {
-				if (cond == nil || cond(d)) && update(s, d, w) {
+				if (cond == nil || cond(d)) && update(s, d, w) && keep {
 					buf = append(buf, d)
 				}
 				return true
 			})
 		}
-		wb.ids = buf
-		wb.segs = append(wb.segs, sparseSeg{chunk: c, start: start, end: len(buf)})
-		// Each chunk is dispatched to exactly one worker: no contention.
-		segLen[c] = int64(len(buf) - start)
+		return buf
 	})
 	if err != nil {
-		// Undispatched chunks never wrote their segment; no frontier can
-		// be derived from the partial buffers.
-		return nil, err
-	}
-	// Exclusive scan turns per-chunk lengths into output offsets; each
-	// worker then copies its segments into place in parallel.
-	total := parallel.ScanExclusive(segLen, segLen)
-	outIDs := make([]uint32, total)
-	parallel.For(len(workers), func(wk int) {
-		wb := &workers[wk]
-		for _, sg := range wb.segs {
-			copy(outIDs[segLen[sg.chunk]:], wb.ids[sg.start:sg.end])
-		}
-	})
-	if opts.RemoveDuplicates && len(outIDs) > 1 {
-		if opts.Dedup == DedupHash {
-			outIDs = removeDuplicatesHash(outIDs)
-		} else {
-			outIDs = removeDuplicates(n, outIDs)
-		}
-	}
-	return NewSparse(n, outIDs), nil
-}
-
-// edgeMapSparseSeq is the sequential small-round bypass: the same push
-// traversal and output contract as edgeMapSparse — successes in frontier
-// edge order, identical dedup semantics — but run entirely on the calling
-// goroutine. Rounds this small (see Options.SeqCutoff) are dominated by
-// dispatch and reassembly cost, not edge work; here the only per-round
-// overhead is one output slice. Panic containment matches the parallel
-// path (*parallel.PanicError), cancellation is observed once on entry and
-// once on return (the whole round is smaller than one parallel chunk),
-// and the fault-injection chunk hook fires once so injection tests reach
-// this path too.
-func edgeMapSparseSeq(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (out *VertexSubset, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pe, ok := r.(*parallel.PanicError); ok {
-				err = pe
-				return
-			}
-			err = &parallel.PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	faultinject.OnChunk()
-	n := g.NumVertices()
-	ids := u.ToSparse()
-	update := f.UpdateAtomic
-	if update == nil {
-		update = f.Update
-	}
-	cond := f.Cond
-	csr, _ := g.(*graph.Graph)
-	var outIDs []uint32
-	noOutput := opts.NoOutput
-	for _, s := range ids {
-		if csr != nil {
-			row, wts := csr.OutEdgesSlice(s)
-			for j, d := range row {
-				w := int32(1)
-				if wts != nil {
-					w = wts[j]
-				}
-				if (cond == nil || cond(d)) && update(s, d, w) && !noOutput {
-					outIDs = append(outIDs, d)
-				}
-			}
-			continue
-		}
-		g.OutNeighbors(s, func(d uint32, w int32) bool {
-			if (cond == nil || cond(d)) && update(s, d, w) && !noOutput {
-				outIDs = append(outIDs, d)
-			}
-			return true
-		})
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if noOutput {
-		return NewEmpty(n), nil
+		return nil, false, err
 	}
 	if opts.RemoveDuplicates && len(outIDs) > 1 {
 		if opts.Dedup == DedupHash {
@@ -561,7 +434,7 @@ func edgeMapSparseSeq(ctx context.Context, g graph.View, u *VertexSubset, f Edge
 			outIDs = removeDuplicates(n, outIDs)
 		}
 	}
-	return NewSparse(n, outIDs), nil
+	return NewSparse(n, outIDs), inline, nil
 }
 
 // DedupStrategy selects how RemoveDuplicates deduplicates the sparse
@@ -648,6 +521,14 @@ func denseGrain(n int) int {
 // is processed by exactly one goroutine. Destinations are processed in
 // cache-sized blocks aligned to output bitset words, so output bits are
 // set with plain stores — each block's words belong to exactly one worker.
+//
+// Rows come as raw slices from a CSR graph, or from the partition-blocked
+// sweep (GPOP-style) on backends implementing graph.InBlockDecoder: each
+// destination block's in-lists are decoded once into a pooled CSR slab.
+// Cond is sampled at decode time (rows it rules out are never decoded).
+// Early-exit rounds (BFS parent search) skip the blocked sweep: they stop
+// a row after the first hit, so the lazy per-vertex decoder beats an
+// eager decode of every row. Any other view runs the per-vertex callback.
 func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
 	n := g.NumVertices()
 	ud := u.ToDense()
@@ -662,86 +543,42 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 	full := u.Size() == n
 
 	csr, _ := g.(*graph.Graph)
+	var bd graph.InBlockDecoder
+	if csr == nil && !earlyExit {
+		bd, _ = g.(graph.InBlockDecoder)
+	}
 	var out *bitset.Bitset
 	if !opts.NoOutput {
 		out = bitset.New(n)
 	}
 	var body func(lo, hi int)
-	if csr != nil {
+	if csr != nil || bd != nil {
 		// The per-edge loop is the framework's hottest code: the full and
 		// filtered variants are split so neither pays the other's branch,
 		// and membership reads index the frontier words directly.
 		uw := ud.Words()
-		body = func(lo, hi int) {
-			for di := lo; di < hi; di++ {
-				d := uint32(di)
-				if cond != nil && !cond(d) {
-					continue
-				}
-				row, wts := csr.InEdgesSlice(d)
-				hit := false
-				if full {
-					for j, s := range row {
-						w := int32(1)
-						if wts != nil {
-							w = wts[j]
-						}
-						if update(s, d, w) {
-							hit = true
-							if earlyExit {
-								break
-							}
-						}
-						if cond != nil && !cond(d) {
-							break // early exit: d needs no more updates
-						}
-					}
-				} else {
-					for j, s := range row {
-						if uw[s>>6]&(1<<(s&63)) == 0 {
-							continue
-						}
-						w := int32(1)
-						if wts != nil {
-							w = wts[j]
-						}
-						if update(s, d, w) {
-							hit = true
-							if earlyExit {
-								break
-							}
-						}
-						if cond != nil && !cond(d) {
-							break // early exit: d needs no more updates
-						}
-					}
-				}
-				if hit && out != nil {
-					out.Set(di) // this block owns the word
-				}
-			}
-		}
-	} else if bd, ok := g.(graph.InBlockDecoder); ok && !opts.NoBlockDecode && !earlyExit {
-		// Partition-blocked sweep (GPOP-style) for decodable backends:
-		// decode the whole destination block's in-lists into a pooled CSR
-		// slab, then run the same tight loops as the raw-CSR path over the
-		// decoded slices. Cond is sampled once per destination at decode
-		// time (rows it rules out are never decoded); mid-row Cond flips
-		// still stop the scan exactly like the other dense bodies.
-		// Early-exit rounds (BFS parent search) are excluded: they stop a
-		// row after the first hit, so the lazy per-vertex decoder below
-		// beats paying for a full eager decode of every row.
-		uw := ud.Words()
 		var skip func(uint32) bool
-		if cond != nil {
+		if bd != nil && cond != nil {
 			skip = func(d uint32) bool { return !cond(d) }
 		}
 		body = func(lo, hi int) {
-			blk := getInBlock()
-			bd.DecodeInBlock(uint32(lo), uint32(hi), skip, blk)
+			var blk *graph.InBlock
+			if bd != nil {
+				blk = getInBlock()
+				bd.DecodeInBlock(uint32(lo), uint32(hi), skip, blk)
+			}
 			for di := lo; di < hi; di++ {
 				d := uint32(di)
-				row, wts := blk.Row(di - lo)
+				var row []uint32
+				var wts []int32
+				if blk != nil {
+					row, wts = blk.Row(di - lo)
+				} else {
+					if cond != nil && !cond(d) {
+						continue
+					}
+					row, wts = csr.InEdgesSlice(d)
+				}
 				hit := false
 				if full {
 					for j, s := range row {
@@ -783,7 +620,9 @@ func edgeMapDense(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFunc
 					out.Set(di) // this block owns the word
 				}
 			}
-			putInBlock(blk)
+			if blk != nil {
+				putInBlock(blk)
+			}
 		}
 	} else {
 		body = func(lo, hi int) {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"sync/atomic"
 	"testing"
 
 	"ligra/internal/graph"
+	"ligra/internal/parallel"
 )
 
 // testGraph builds a small directed graph:
@@ -122,13 +124,14 @@ func TestEdgeMapCondFilters(t *testing.T) {
 func TestEdgeMapUpdateFalseExcludesFromOutput(t *testing.T) {
 	g := testGraph(t)
 	u := NewSparse(6, []uint32{0})
-	f := EdgeFuncs{
-		UpdateAtomic: func(_, d uint32, _ int32) bool { return d == 1 },
-	}
-	for _, mode := range []Mode{ForceSparse, ForceDense} {
-		out := EdgeMap(g, u, f, Options{Mode: mode})
-		if out.Size() != 1 || !out.Contains(1) {
-			t.Errorf("mode=%v: output = %v, want {1}", mode, sortedIDs(out))
+	update := func(_, d uint32, _ int32) bool { return d == 1 }
+	// Either update function alone serves every traversal.
+	for _, f := range []EdgeFuncs{{UpdateAtomic: update}, {Update: update}} {
+		for _, mode := range []Mode{ForceSparse, ForceDense} {
+			out := EdgeMap(g, u, f, Options{Mode: mode})
+			if out.Size() != 1 || !out.Contains(1) {
+				t.Errorf("mode=%v: output = %v, want {1}", mode, sortedIDs(out))
+			}
 		}
 	}
 }
@@ -192,14 +195,74 @@ func TestEdgeMapRemoveDuplicates(t *testing.T) {
 		UpdateAtomic: func(_, _ uint32, _ int32) bool { return true },
 	}
 	u := NewSparse(6, []uint32{1, 2})
-	noDedup := EdgeMap(g, u, f, Options{Mode: ForceSparse})
-	if len(noDedup.ToSparse()) != 3 { // 3, 3, 4
-		t.Errorf("expected raw duplicates, got %v", noDedup.ToSparse())
+	// The sparse output lists successes in frontier edge order:
+	// 1->3, then 2->3, 2->4.
+	noDedup := EdgeMap(g, u, f, Options{Mode: ForceSparse}).ToSparse()
+	if len(noDedup) != 3 || noDedup[0] != 3 || noDedup[1] != 3 || noDedup[2] != 4 {
+		t.Errorf("raw output = %v, want [3 3 4]", noDedup)
 	}
-	dedup := EdgeMap(g, NewSparse(6, []uint32{1, 2}), f, Options{Mode: ForceSparse, RemoveDuplicates: true})
-	got := sortedIDs(dedup)
-	if len(got) != 2 || got[0] != 3 || got[1] != 4 {
-		t.Errorf("dedup output = %v, want [3 4]", got)
+	for _, dedup := range []DedupStrategy{DedupScratch, DedupHash} {
+		out := EdgeMap(g, NewSparse(6, []uint32{1, 2}), f, Options{Mode: ForceSparse, RemoveDuplicates: true, Dedup: dedup})
+		got := sortedIDs(out)
+		if len(got) != 2 || got[0] != 3 || got[1] != 4 {
+			t.Errorf("dedup=%v: output = %v, want [3 4]", dedup, got)
+		}
+	}
+}
+
+// TestSeqRoundsCountsInlineSparseRounds pins TraversalStats.SeqRounds: it
+// counts the sparse rounds that ran entirely on the calling goroutine (a
+// one-proc lease or a single chunk), never dense rounds, and never a
+// sparse round whose chunks were dispatched to the pool.
+func TestSeqRoundsCountsInlineSparseRounds(t *testing.T) {
+	old := parallel.SetProcs(4)
+	defer parallel.SetProcs(old)
+
+	// A star: vertex 0 points at 1..128, and every leaf points back at 0.
+	edges := make([]graph.Edge, 0, 256)
+	leaves := make([]uint32, 0, 128)
+	for d := uint32(1); d <= 128; d++ {
+		edges = append(edges, graph.Edge{Src: 0, Dst: d}, graph.Edge{Src: d, Dst: 0})
+		leaves = append(leaves, d)
+	}
+	g, err := graph.FromEdges(129, edges, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := EdgeFuncs{UpdateAtomic: func(_, _ uint32, _ int32) bool { return true }}
+	ctx4 := parallel.WithProcs(context.Background(), 4)
+	for _, tc := range []struct {
+		name     string
+		ctx      context.Context
+		u        *VertexSubset
+		opts     Options
+		wantSeq  int64
+		wantSize int
+	}{
+		{"one vertex", nil, NewSingle(129, 0), Options{Mode: ForceSparse}, 1, 128},
+		{"multi-chunk", ctx4, NewSparse(129, leaves), Options{Mode: ForceSparse}, 0, 128},
+		{"multi-chunk one-proc lease", ctx4, NewSparse(129, leaves), Options{Mode: ForceSparse, Procs: 1}, 1, 128},
+		{"dense", nil, NewSingle(129, 0), Options{Mode: ForceDense}, 0, 128},
+	} {
+		before := SnapshotStats()
+		out, err := EdgeMapCtx(tc.ctx, g, tc.u, f, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := SnapshotStats().Sub(before)
+		if d.SeqRounds != tc.wantSeq || d.Calls != 1 {
+			t.Errorf("%s: seq_rounds=%d calls=%d, want %d/1", tc.name, d.SeqRounds, d.Calls, tc.wantSeq)
+		}
+		if out.Size() != tc.wantSize {
+			t.Errorf("%s: output size %d, want %d", tc.name, out.Size(), tc.wantSize)
+		}
+	}
+
+	data := EdgeDataFuncs[uint32]{UpdateAtomic: func(s, _ uint32, _ int32) (uint32, bool) { return s, true }}
+	before := SnapshotStats()
+	EdgeMapData(g, NewSingle(129, 0), data, Options{Mode: ForceSparse})
+	if d := SnapshotStats().Sub(before); d.SeqRounds != 1 {
+		t.Errorf("one-vertex EdgeMapData round: seq_rounds=%d, want 1", d.SeqRounds)
 	}
 }
 

@@ -66,12 +66,12 @@ type StatsSnapshot struct {
 	Sparse       int64 `json:"sparse"`
 	Dense        int64 `json:"dense"`
 	DenseForward int64 `json:"dense_forward"`
-	// SeqRounds counts the calls taken by the sequential small-round
-	// bypass: sparse rounds whose |U| + outDegrees(U) fell at or below
-	// Options.SeqCutoff and ran entirely on the calling goroutine with
-	// zero scheduler dispatch. Every such round is also counted in
-	// Sparse (the bypass is an execution strategy, not a representation),
-	// so the Sparse+Dense+DenseForward = Calls invariant is unchanged.
+	// SeqRounds counts the sparse rounds whose traversal ran entirely on
+	// the calling goroutine with zero scheduler dispatch: the round held a
+	// one-proc lease or its frontier fit in a single chunk. Every such
+	// round is also counted in Sparse (running inline is an execution
+	// strategy, not a representation), so the Sparse+Dense+DenseForward =
+	// Calls invariant is unchanged.
 	SeqRounds int64 `json:"seq_rounds"`
 	// FrontierVertices sums the input frontier sizes (|U| per call).
 	FrontierVertices int64 `json:"frontier_vertices"`

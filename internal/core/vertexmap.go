@@ -13,10 +13,9 @@ import (
 // Small rounds take the scheduler's sequential cutoff automatically: the
 // loops behind ForEach/ForEachCtx are auto-grain, so a frontier at or
 // below the parallel package's cutoff runs inline on the calling
-// goroutine with zero dispatch — the vertexMap analogue of edgeMap's
-// Options.SeqCutoff bypass (which is counted in TraversalStats.SeqRounds;
-// per-vertex rounds are visible in the scheduler's inline-run counter
-// instead).
+// goroutine with zero dispatch. Such rounds are visible in the
+// scheduler's inline-run counter; TraversalStats.SeqRounds counts only
+// edgeMap's inline sparse rounds.
 func VertexMap(u *VertexSubset, fn func(v uint32)) {
 	u.ForEach(fn)
 }

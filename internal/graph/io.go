@@ -328,7 +328,7 @@ func LoadFile(path string, symmetric bool) (*Graph, error) {
 	case FormatBinary:
 		return ReadBinary(f)
 	case FormatCompressed:
-		return nil, fmt.Errorf("graph: %s is a %s file; load it with the compress package (compress.LoadView or ligra.LoadView)", path, format)
+		return nil, fmt.Errorf("graph: %s is a %s file; load it with the compress package (compress.LoadView or ligra.Load)", path, format)
 	case FormatUnknownVersion:
 		return nil, fmt.Errorf("graph: %s has unrecognized magic %q: not a format this build understands", path, prefix[:k])
 	default:

@@ -68,7 +68,7 @@ func TestPublicHandWrittenBFSAgrees(t *testing.T) {
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
 			return atomic.CompareAndSwapUint32(&parents[d], ligra.None, s)
 		},
-		Cond: func(d uint32) bool { return parents[d] == ligra.None },
+		Cond: func(d uint32) bool { return atomic.LoadUint32(&parents[d]) == ligra.None },
 	}
 	frontier := ligra.NewSingle(n, 0)
 	for !frontier.IsEmpty() {
@@ -103,7 +103,7 @@ func TestPublicGraphIO(t *testing.T) {
 	if err := ligra.SaveGraph(dir+"/g.bin", g, true); err != nil {
 		t.Fatal(err)
 	}
-	g3, err := ligra.LoadGraph(dir+"/g.bin", true)
+	g3, err := ligra.Load(dir+"/g.bin", ligra.LoadOptions{Symmetric: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,7 @@ import (
 	"ligra/internal/bench"
 	"ligra/internal/core"
 	"ligra/internal/graph"
+	"ligra/internal/parallel"
 )
 
 func benchScale() int {
@@ -110,8 +111,8 @@ func BenchmarkFigScalability(b *testing.B) {
 		}
 		for p := 1; p <= maxP; p *= 2 {
 			b.Run(app.Name+"/procs="+strconv.Itoa(p), func(b *testing.B) {
-				prev := ligra.SetParallelism(p)
-				defer ligra.SetParallelism(prev)
+				prev := parallel.SetProcs(p)
+				defer parallel.SetProcs(prev)
 				for i := 0; i < b.N; i++ {
 					app.Run(g, core.Options{})
 				}

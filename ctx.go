@@ -37,17 +37,10 @@ func EdgeMapCtx(ctx context.Context, g View, u *VertexSubset, f EdgeFuncs, opts 
 	return core.EdgeMapCtx(ctx, g, u, f, opts)
 }
 
-// EdgeMapDataCtx is EdgeMapData with cooperative cancellation, following
-// the same contract as EdgeMapCtx.
-func EdgeMapDataCtx[T any](ctx context.Context, g View, u *VertexSubset, f EdgeDataFuncs[T], opts Options) (*DataSubset[T], error) {
-	return core.EdgeMapDataCtx(ctx, g, u, f, opts)
-}
-
 // WithParallelism returns a context that caps the worker goroutines used
-// by every *Ctx entry point run under it at p — a per-call alternative to
-// the process-wide SetParallelism, letting concurrent computations share
-// one machine with different worker budgets. The effective count is
-// min(p, SetParallelism's setting, GOMAXPROCS).
+// by every *Ctx entry point run under it at p, letting concurrent
+// computations share one machine with different worker budgets. The
+// effective count is min(p, Parallelism()).
 func WithParallelism(ctx context.Context, p int) context.Context {
 	return parallel.WithProcs(ctx, p)
 }

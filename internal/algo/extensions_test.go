@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ligra/internal/compress"
 	"ligra/internal/core"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
@@ -238,52 +239,81 @@ func TestKCoreJulienneKnownValues(t *testing.T) {
 	}
 }
 
+// TestSpanningForestProperties runs SpanningForest in every mode on every
+// symmetric test graph and on its compressed copy, and checks the forest
+// against seq.ConnectedComponents: n - #components edges, all in the
+// graph, and one root per component that every vertex reaches by
+// following its parent edges.
 func TestSpanningForestProperties(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		if !g.Symmetric() {
 			continue
 		}
-		res := SpanningForest(g, core.Options{})
-		n := g.NumVertices()
+		c, err := compress.Compress(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := seq.ConnectedComponents(g)
 		comps := map[uint32]bool{}
-		for _, l := range seq.ConnectedComponents(g) {
+		for _, l := range label {
 			comps[l] = true
 		}
-		// Exactly n - #components edges and #components roots.
-		if len(res.Edges) != n-len(comps) {
-			t.Fatalf("%s: %d forest edges, want %d", gname, len(res.Edges), n-len(comps))
-		}
-		if len(res.Roots) != len(comps) {
-			t.Fatalf("%s: %d roots, want %d", gname, len(res.Roots), len(comps))
-		}
-		// Every vertex except roots appears exactly once as a child, and
-		// each forest edge exists in the graph.
-		childCount := make([]int, n)
-		for _, e := range res.Edges {
-			childCount[e.Dst]++
-			found := false
-			g.OutNeighbors(e.Src, func(d uint32, _ int32) bool {
-				if d == e.Dst {
-					found = true
-					return false
+		n := g.NumVertices()
+		for _, view := range []struct {
+			name string
+			g    graph.View
+		}{{"csr", g}, {"compressed", c}} {
+			for _, mode := range []struct {
+				name string
+				mode core.Mode
+			}{{"auto", core.Auto}, {"sparse", core.ForceSparse}, {"dense", core.ForceDense}} {
+				name := gname + "/" + view.name + "/" + mode.name
+				res := SpanningForest(view.g, core.Options{Mode: mode.mode})
+				if len(res.Edges) != n-len(comps) {
+					t.Fatalf("%s: %d forest edges, want %d", name, len(res.Edges), n-len(comps))
 				}
-				return true
-			})
-			if !found {
-				t.Fatalf("%s: forest edge %d->%d not in graph", gname, e.Src, e.Dst)
-			}
-		}
-		isRoot := map[uint32]bool{}
-		for _, r := range res.Roots {
-			isRoot[r] = true
-		}
-		for v := 0; v < n; v++ {
-			want := 1
-			if isRoot[uint32(v)] {
-				want = 0
-			}
-			if childCount[v] != want {
-				t.Fatalf("%s: vertex %d is a child %d times, want %d", gname, v, childCount[v], want)
+				if len(res.Roots) != len(comps) {
+					t.Fatalf("%s: %d roots, want %d", name, len(res.Roots), len(comps))
+				}
+				parent := make([]uint32, n)
+				for v := range parent {
+					parent[v] = core.None
+				}
+				for _, e := range res.Edges {
+					if parent[e.Dst] != core.None {
+						t.Fatalf("%s: vertex %d has two parents", name, e.Dst)
+					}
+					parent[e.Dst] = e.Src
+					found := false
+					g.OutNeighbors(e.Src, func(d uint32, _ int32) bool {
+						found = d == e.Dst
+						return !found
+					})
+					if !found {
+						t.Fatalf("%s: forest edge %d->%d not in graph", name, e.Src, e.Dst)
+					}
+				}
+				rootOf := map[uint32]uint32{} // component label -> root
+				for _, r := range res.Roots {
+					if parent[r] != core.None {
+						t.Fatalf("%s: root %d has a parent", name, r)
+					}
+					if _, dup := rootOf[label[r]]; dup {
+						t.Fatalf("%s: two roots in component %d", name, label[r])
+					}
+					rootOf[label[r]] = r
+				}
+				for v := uint32(0); int(v) < n; v++ {
+					// n-1 parent steps reach any root; more means a cycle.
+					u := v
+					for steps := 0; parent[u] != core.None && steps < n; steps++ {
+						u = parent[u]
+					}
+					if u != rootOf[label[v]] {
+						t.Fatalf("%s: vertex %d climbs to %d, want its component's root %d",
+							name, v, u, rootOf[label[v]])
+					}
+				}
 			}
 		}
 	}

@@ -425,51 +425,6 @@ func CompressAblation(cfg Config) error {
 	return w.Flush()
 }
 
-// DedupAblation compares the two duplicate-removal strategies for sparse
-// frontiers — Ligra's CAS-claimed O(|V|) scratch array versus the
-// phase-concurrent hash set (Shun-Blelloch SPAA'14) — on the two
-// applications that need deduplication.
-func DedupAblation(cfg Config) error {
-	suite := DefaultSuite(cfg.Scale)
-	in, err := FindInput(suite, "rMat")
-	if err != nil {
-		return err
-	}
-	g, err := in.Build()
-	if err != nil {
-		return err
-	}
-	wg := WeightGraph(g)
-	apps := []struct {
-		name string
-		run  func(opts core.Options)
-	}{
-		// Components sets RemoveDuplicates internally; force sparse so
-		// the dedup path actually runs every round.
-		{"Components(sparse)", func(o core.Options) {
-			o.Mode = core.ForceSparse
-			algo.ConnectedComponents(g, o)
-		}},
-		{"BellmanFord(sparse)", func(o core.Options) {
-			o.Mode = core.ForceSparse
-			o.RemoveDuplicates = true
-			algo.BellmanFord(wg, pickSource(wg), o)
-		}},
-	}
-	fmt.Fprintf(cfg.Out, "Frontier deduplication on %s (seconds, median of %d)\n", in.Name, cfg.rounds())
-	w := cfg.tab()
-	fmt.Fprintln(w, "Application\tscratch (CAS array)\thash set")
-	for _, a := range apps {
-		if cfg.budgetExhausted(w) {
-			break
-		}
-		t1 := Measure(cfg.rounds(), func() { a.run(core.Options{Dedup: core.DedupScratch}) })
-		t2 := Measure(cfg.rounds(), func() { a.run(core.Options{Dedup: core.DedupHash}) })
-		fmt.Fprintf(w, "%s\t%.4f\t%.4f\n", a.name, t1.Median.Seconds(), t2.Median.Seconds())
-	}
-	return w.Flush()
-}
-
 // BucketingAblation compares the scan-based k-core peeling against the
 // Julienne bucket structure, and delta-stepping against frontier
 // Bellman-Ford — the workloads that motivated the Julienne extension.
@@ -545,7 +500,6 @@ func Experiments() map[string]func(Config) error {
 		"threshold":    Threshold,
 		"denseforward": DenseForward,
 		"compress":     CompressAblation,
-		"dedup":        DedupAblation,
 		"bucketing":    BucketingAblation,
 		"hotpath":      HotPath,
 		"servecache":   ServeCache,
@@ -558,5 +512,5 @@ func Experiments() map[string]func(Config) error {
 
 // ExperimentOrder lists the IDs in presentation order.
 func ExperimentOrder() []string {
-	return []string{"table1", "table2", "scalability", "frontier", "threshold", "denseforward", "compress", "dedup", "bucketing", "hotpath", "servecache", "scheduler", "batch", "delta", "spmv"}
+	return []string{"table1", "table2", "scalability", "frontier", "threshold", "denseforward", "compress", "bucketing", "hotpath", "servecache", "scheduler", "batch", "delta", "spmv"}
 }

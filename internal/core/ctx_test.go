@@ -175,55 +175,3 @@ func TestEdgeMapCtxOptionsProcsCapsConcurrency(t *testing.T) {
 		}
 	}
 }
-
-func TestEdgeMapDataCtxCancelAndProcs(t *testing.T) {
-	g := testGraph(t)
-	u := NewSingle(g.NumVertices(), 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	f := EdgeDataFuncs[uint32]{UpdateAtomic: func(s, d uint32, _ int32) (uint32, bool) {
-		return s, true
-	}}
-	out, err := EdgeMapDataCtx(ctx, g, u, f, Options{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if out != nil {
-		t.Error("interrupted EdgeMapDataCtx returned a subset")
-	}
-
-	// Uncancelled with a proc cap still matches EdgeMapData.
-	got, err := EdgeMapDataCtx(nil, g, u, f, Options{Procs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := EdgeMapData(g, u, f, Options{})
-	if got.Size() != want.Size() {
-		t.Errorf("capped EdgeMapDataCtx produced %d pairs, want %d", got.Size(), want.Size())
-	}
-}
-
-// TestEdgeMapDataSharesRoundHooks checks EdgeMapData runs the same front
-// half as EdgeMap: it fires the per-round fault hook and records into
-// Options.Trace.
-func TestEdgeMapDataSharesRoundHooks(t *testing.T) {
-	g := testGraph(t)
-	f := EdgeDataFuncs[uint32]{UpdateAtomic: func(s, d uint32, _ int32) (uint32, bool) {
-		return s, true
-	}}
-	ctx, disarm := faultinject.CancelOnRound(context.Background(), 1)
-	_, err := EdgeMapDataCtx(ctx, g, NewSingle(g.NumVertices(), 0), f, Options{})
-	disarm()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled from injected round fault", err)
-	}
-
-	tr := &Trace{}
-	out := EdgeMapData(g, NewSingle(g.NumVertices(), 0), f, Options{Threshold: 100, Trace: tr})
-	if len(tr.Entries) != 1 {
-		t.Fatalf("trace has %d entries, want 1", len(tr.Entries))
-	}
-	if e := tr.Entries[0]; e.Dense || e.FrontierSize != 1 || e.OutDegrees != 2 || e.OutputSize != out.Size() {
-		t.Errorf("trace entry = %+v, want sparse, frontier 1, out-degrees 2, output %d", e, out.Size())
-	}
-}

@@ -10,7 +10,6 @@ import (
 	"ligra/internal/bitset"
 	"ligra/internal/faultinject"
 	"ligra/internal/graph"
-	"ligra/internal/hashtable"
 	"ligra/internal/parallel"
 )
 
@@ -63,9 +62,6 @@ type Options struct {
 	// RemoveDuplicates deduplicates the sparse output frontier. Needed
 	// when UpdateAtomic may return true more than once per destination.
 	RemoveDuplicates bool
-	// Dedup selects the duplicate-removal strategy when RemoveDuplicates
-	// is set (see DedupStrategy).
-	Dedup DedupStrategy
 	// NoOutput skips constructing the output frontier (Ligra's no_output
 	// flag); EdgeMap returns an empty subset.
 	NoOutput bool
@@ -156,48 +152,6 @@ func EdgeMap(g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) *VertexSu
 // writes, which is what gives algorithms their partial results. A panic
 // in a worker is returned as a *parallel.PanicError instead of panicking.
 func EdgeMapCtx(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFuncs, opts Options) (*VertexSubset, error) {
-	r, err := beginRound(ctx, g, u, opts)
-	if err != nil {
-		return nil, err
-	}
-	var out *VertexSubset
-	inline := false
-	switch {
-	case u.IsEmpty():
-		out = NewEmpty(g.NumVertices())
-	case r.fwd:
-		out, err = edgeMapDenseForward(r.ctx, g, u, f, opts)
-	case r.dense:
-		out, err = edgeMapDense(r.ctx, g, u, f, opts)
-	default:
-		out, inline, err = edgeMapSparse(r.ctx, g, u, f, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	r.end(out.Size(), inline)
-	return out, nil
-}
-
-// round is the part of one EdgeMap / EdgeMapData call that does not depend
-// on the output type: the resolved context and the direction decision,
-// kept until the call ends so stats and the trace can record it.
-type round struct {
-	ctx    context.Context
-	u      *VertexSubset
-	trace  *Trace
-	start  time.Time
-	outDeg int64
-	dense  bool
-	fwd    bool // dense and Options.DenseForward
-}
-
-// beginRound is the front half EdgeMapCtx and EdgeMapDataCtx share: the
-// universe check, the per-round fault hook, the Options.Procs lease, and
-// for a non-empty frontier the paper's |U| + outDegrees(U) > threshold
-// decision (threshold 0 = |E|/20) with the Options.Mode override. An
-// empty frontier is a sparse round with nothing to do.
-func beginRound(ctx context.Context, g graph.View, u *VertexSubset, opts Options) (round, error) {
 	if u.UniverseSize() != g.NumVertices() {
 		panic("core: EdgeMap frontier universe does not match graph")
 	}
@@ -207,50 +161,57 @@ func beginRound(ctx context.Context, g graph.View, u *VertexSubset, opts Options
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return round{}, err
+			return nil, err
 		}
 	}
-	r := round{ctx: ctx, u: u, trace: opts.Trace, start: time.Now()}
-	if u.IsEmpty() {
-		return r, nil
+	start := time.Now()
+	// The paper's |U| + outDegrees(U) > threshold decision (threshold 0 =
+	// |E|/20), overridden by Options.Mode. An empty frontier is a sparse
+	// round with nothing to do.
+	var outDeg int64
+	var err error
+	dense := false
+	if !u.IsEmpty() {
+		threshold := opts.Threshold
+		if threshold <= 0 {
+			threshold = g.NumEdges() / DefaultThresholdDenominator
+		}
+		outDeg, err = frontierOutDegrees(ctx, g, u, threshold-int64(u.Size()))
+		if err != nil {
+			return nil, err
+		}
+		dense = opts.Mode == ForceDense ||
+			(opts.Mode != ForceSparse && int64(u.Size())+outDeg > threshold)
 	}
-	threshold := opts.Threshold
-	if threshold <= 0 {
-		threshold = g.NumEdges() / DefaultThresholdDenominator
+	fwd := dense && opts.DenseForward
+	var out *VertexSubset
+	inline := false
+	switch {
+	case u.IsEmpty():
+		out = NewEmpty(g.NumVertices())
+	case fwd:
+		out, err = edgeMapDenseForward(ctx, g, u, f, opts)
+	case dense:
+		out, err = edgeMapDense(ctx, g, u, f, opts)
+	default:
+		out, inline, err = edgeMapSparse(ctx, g, u, f, opts)
 	}
-	outDeg, err := frontierOutDegrees(ctx, g, u, threshold-int64(u.Size()))
 	if err != nil {
-		return round{}, err
+		return nil, err
 	}
-	r.outDeg = outDeg
-	r.dense = int64(u.Size())+outDeg > threshold
-	switch opts.Mode {
-	case ForceSparse:
-		r.dense = false
-	case ForceDense:
-		r.dense = true
+	globalStats.record(u.Size(), outDeg, dense, fwd, inline, out.Size())
+	if tr := opts.Trace; tr != nil {
+		tr.Entries = append(tr.Entries, TraceEntry{
+			Round:        len(tr.Entries),
+			FrontierSize: u.Size(),
+			OutDegrees:   outDeg,
+			Dense:        dense,
+			DenseForward: fwd,
+			OutputSize:   out.Size(),
+			Duration:     time.Since(start),
+		})
 	}
-	r.fwd = r.dense && opts.DenseForward
-	return r, nil
-}
-
-// end records a completed round in the process-wide stats and the trace.
-// inline reports a sparse traversal that ran entirely on the calling
-// goroutine.
-func (r *round) end(output int, inline bool) {
-	globalStats.record(r.u.Size(), r.outDeg, r.dense, r.fwd, inline, output)
-	if r.trace == nil {
-		return
-	}
-	r.trace.Entries = append(r.trace.Entries, TraceEntry{
-		Round:        len(r.trace.Entries),
-		FrontierSize: r.u.Size(),
-		OutDegrees:   r.outDeg,
-		Dense:        r.dense,
-		DenseForward: r.fwd,
-		OutputSize:   output,
-		Duration:     time.Since(r.start),
-	})
+	return out, nil
 }
 
 // Block sizes for the capped degree sum: small enough that the scan stops
@@ -330,11 +291,11 @@ type sparseSeg struct {
 }
 
 // sparseWorkerBuf is one worker's private output accumulation for the
-// sparse traversals. Workers only ever touch their own entry, so appends
+// sparse traversal. Workers only ever touch their own entry, so appends
 // are contention-free; the trailing pad keeps neighbouring workers' slice
 // headers on different cache lines.
-type sparseWorkerBuf[E any] struct {
-	out  []E
+type sparseWorkerBuf struct {
+	out  []uint32
 	segs []sparseSeg
 	_    [16]byte
 }
@@ -346,11 +307,11 @@ type sparseWorkerBuf[E any] struct {
 // in chunk order, so the result is every output in frontier edge order at
 // the cost of writing only the successes. inline reports that the whole
 // loop ran on the calling goroutine: a one-proc lease or a single chunk.
-func pushChunks[E any](ctx context.Context, n int, body func(lo, hi int, buf []E) []E) (out []E, inline bool, err error) {
+func pushChunks(ctx context.Context, n int, body func(lo, hi int, buf []uint32) []uint32) (out []uint32, inline bool, err error) {
 	procs := parallel.CtxProcs(ctx)
 	grain := parallel.AutoGrainCtx(ctx, n)
 	nchunks := (n + grain - 1) / grain
-	workers := make([]sparseWorkerBuf[E], procs)
+	workers := make([]sparseWorkerBuf, procs)
 	segLen := make([]int64, nchunks)
 	err = parallel.ForWorkerChunksCtx(ctx, n, grain, func(wk, c, lo, hi int) {
 		wb := &workers[wk]
@@ -374,7 +335,7 @@ func pushChunks[E any](ctx context.Context, n int, body func(lo, hi int, buf []E
 	// Exclusive scan turns per-chunk lengths into output offsets; each
 	// worker then copies its segments into place in parallel.
 	total := parallel.ScanExclusive(segLen, segLen)
-	out = make([]E, total)
+	out = make([]uint32, total)
 	parallel.For(len(workers), func(wk int) {
 		wb := &workers[wk]
 		for _, sg := range wb.segs {
@@ -428,37 +389,9 @@ func edgeMapSparse(ctx context.Context, g graph.View, u *VertexSubset, f EdgeFun
 		return nil, false, err
 	}
 	if opts.RemoveDuplicates && len(outIDs) > 1 {
-		if opts.Dedup == DedupHash {
-			outIDs = removeDuplicatesHash(outIDs)
-		} else {
-			outIDs = removeDuplicates(n, outIDs)
-		}
+		outIDs = removeDuplicates(n, outIDs)
 	}
 	return NewSparse(n, outIDs), inline, nil
-}
-
-// DedupStrategy selects how RemoveDuplicates deduplicates the sparse
-// output frontier.
-type DedupStrategy int
-
-const (
-	// DedupScratch (default) claims each ID in a pooled O(|V|) array via
-	// CAS, Ligra's remDuplicates.
-	DedupScratch DedupStrategy = iota
-	// DedupHash inserts IDs into a phase-concurrent hash set sized to the
-	// output (Shun-Blelloch SPAA'14); O(frontier) space instead of O(|V|),
-	// at the cost of hashing. Output order is the deterministic table
-	// order rather than the edge order.
-	DedupHash
-)
-
-// removeDuplicatesHash deduplicates via a phase-concurrent hash set.
-func removeDuplicatesHash(ids []uint32) []uint32 {
-	set := hashtable.NewSet(len(ids))
-	parallel.For(len(ids), func(i int) {
-		set.Insert(ids[i])
-	})
-	return set.Elements()
 }
 
 // removeDuplicates keeps one occurrence of each vertex ID using a pooled

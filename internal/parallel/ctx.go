@@ -47,12 +47,19 @@ func ForRangeCtx(ctx context.Context, n int, body func(lo, hi int)) error {
 	return ForRangeGrainCtx(ctx, n, 0, body)
 }
 
-// ForRangeGrainCtx is the context-aware ForRangeGrain and the engine
-// behind every parallel loop in the package. Work is dispatched onto
-// the persistent worker pool (see pool.go) — no goroutines are spawned
-// per call — unless the loop runs inline: procs == 1, a single chunk,
-// or an auto-grain loop small enough for the sequential cutoff.
+// ForRangeGrainCtx is the context-aware ForRangeGrain.
 func ForRangeGrainCtx(ctx context.Context, n, grain int, body func(lo, hi int)) error {
+	return forChunks(ctx, n, grain, body, nil)
+}
+
+// forChunks is the engine behind every parallel loop in the package. Work
+// is dispatched onto the persistent worker pool (see pool.go) — no
+// goroutines are spawned per call — unless the loop runs inline: procs ==
+// 1, a single chunk, or an auto-grain loop small enough for the sequential
+// cutoff. Exactly one of rng and wk is non-nil: wk also receives the
+// worker and chunk indices. An inline rng loop without a ctx runs as the
+// single chunk [0, n).
+func forChunks(ctx context.Context, n, grain int, rng func(lo, hi int), wk func(worker, chunk, lo, hi int)) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -72,21 +79,23 @@ func ForRangeGrainCtx(ctx context.Context, n, grain int, body func(lo, hi int)) 
 		if procs > 1 && chunks > 1 {
 			schedStats.cutoffRuns.Add(1)
 		}
-		if ctx == nil {
+		if rng != nil && ctx == nil {
 			// No cancellation to observe: run as one chunk, preserving the
 			// plain primitives' zero per-chunk overhead.
-			return forSeq(nil, n, n, 1, body)
+			grain, chunks = n, 1
 		}
-		return forSeq(ctx, n, grain, chunks, body)
+		return forSeq(ctx, n, grain, chunks, rng, wk)
 	}
-	return runParallel(ctx, n, grain, chunks, procs, func(_, _, lo, hi int) {
-		body(lo, hi)
-	})
+	if wk == nil {
+		wk = func(_, _, lo, hi int) { rng(lo, hi) }
+	}
+	return runParallel(ctx, n, grain, chunks, procs, wk)
 }
 
-// forSeq runs the loop on the calling goroutine, still honouring chunk
-// granularity for cancellation checks and the fault-injection hook.
-func forSeq(ctx context.Context, n, grain, chunks int, body func(lo, hi int)) (err error) {
+// forSeq runs every chunk of forChunks' loop on the calling goroutine as
+// worker 0, still honouring chunk granularity for cancellation checks and
+// the fault-injection hook.
+func forSeq(ctx context.Context, n, grain, chunks int, rng func(lo, hi int), wk func(worker, chunk, lo, hi int)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
@@ -107,11 +116,12 @@ func forSeq(ctx context.Context, n, grain, chunks int, body func(lo, hi int)) (e
 		}
 		faultinject.OnChunk()
 		lo := c * grain
-		hi := lo + grain
-		if hi > n {
-			hi = n
+		hi := min(lo+grain, n)
+		if wk != nil {
+			wk(0, c, lo, hi)
+		} else {
+			rng(lo, hi)
 		}
-		body(lo, hi)
 	}
 	// Match the parallel path, which reports ctx.Err() after the workers
 	// drain: a cancellation raised inside the final (or only) chunk is

@@ -14,29 +14,9 @@ type Number interface {
 // commutative only if the per-block order is acceptable, so in practice use
 // associative+commutative operations or order-insensitive ones.
 func Reduce[T any](n int, id T, fn func(i int) T, combine func(a, b T) T) T {
-	if n <= 0 {
-		return id
-	}
-	blocks := numBlocks(n)
-	if blocks == 1 {
-		acc := id
-		for i := 0; i < n; i++ {
-			acc = combine(acc, fn(i))
-		}
-		return acc
-	}
-	partial := make([]T, blocks)
-	ForGrain(blocks, 1, func(b int) {
-		lo, hi := blockBounds(n, blocks, b)
-		acc := id
-		for i := lo; i < hi; i++ {
-			acc = combine(acc, fn(i))
-		}
-		partial[b] = acc
-	})
-	acc := id
-	for _, p := range partial {
-		acc = combine(acc, p)
+	acc, err := ReduceCtx(nil, n, id, fn, combine)
+	if err != nil {
+		panic(err)
 	}
 	return acc
 }

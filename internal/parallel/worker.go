@@ -1,12 +1,6 @@
 package parallel
 
-import (
-	"context"
-	"runtime"
-	"runtime/debug"
-
-	"ligra/internal/faultinject"
-)
+import "context"
 
 // AutoGrain returns the chunk size the For-family primitives select
 // automatically for an n-iteration loop, so callers that need to know the
@@ -34,56 +28,5 @@ func AutoGrain(n int) int {
 // background) is observed at chunk granularity, and a worker panic is
 // returned as a *PanicError.
 func ForWorkerChunksCtx(ctx context.Context, n, grain int, body func(worker, chunk, lo, hi int)) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if n <= 0 {
-		return nil
-	}
-	procs := CtxProcs(ctx)
-	auto := grain <= 0
-	if auto {
-		grain = defaultGrain(n, procs)
-	}
-	chunks := (n + grain - 1) / grain
-	if procs == 1 || chunks == 1 || (auto && n <= seqCutoff) {
-		schedStats.inlineRuns.Add(1)
-		if procs > 1 && chunks > 1 {
-			schedStats.cutoffRuns.Add(1)
-		}
-		return forWorkerSeq(ctx, n, grain, chunks, body)
-	}
-	return runParallel(ctx, n, grain, chunks, procs, body)
-}
-
-// forWorkerSeq runs every chunk on the calling goroutine as worker 0,
-// honouring chunk granularity for cancellation checks.
-func forWorkerSeq(ctx context.Context, n, grain, chunks int, body func(worker, chunk, lo, hi int)) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	for c := 0; c < chunks; c++ {
-		if ctx != nil {
-			if c > 0 {
-				runtime.Gosched()
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		faultinject.OnChunk()
-		lo := c * grain
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		body(0, c, lo, hi)
-	}
-	// Match ForRangeGrainCtx: surface a cancellation raised inside the
-	// final (or only) chunk.
-	return ctxErr(ctx)
+	return forChunks(ctx, n, grain, nil, body)
 }

@@ -107,6 +107,56 @@ func TestUpdateEndToEnd(t *testing.T) {
 	}
 }
 
+// TestUpdatesDoNotSurviveEviction pins the /update durability contract:
+// acknowledged updates live only in process memory, so evicting a graph
+// and reloading it with the same spec serves the base graph again, under
+// a version no cached answer from the updated graph can match.
+func TestUpdatesDoNotSurviveEviction(t *testing.T) {
+	s, ts := newTestServer(t, Config{UpdateWindow: -1, CacheBytes: 1 << 20})
+	spec := map[string]any{"gen": "rmat", "scale": 10}
+	state := func() (int, int64, float64) {
+		t.Helper()
+		status, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g/query", map[string]any{"algo": "components"})
+		if status != http.StatusOK {
+			t.Fatalf("components: %d %v", status, body)
+		}
+		info := s.Registry().List()[0]
+		return info.Vertices, info.Edges, body["details"].(map[string]any)["components"].(float64)
+	}
+
+	if status, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g", spec); status != http.StatusOK {
+		t.Fatalf("load: %d %v", status, body)
+	}
+	n, edges, comps := state()
+
+	// A new edge between two new vertices adds two directed edges and
+	// one component.
+	status, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g/update", map[string]any{
+		"ops": []map[string]any{{"src": n, "dst": n + 1}},
+	})
+	if status != http.StatusOK {
+		t.Fatalf("update: %d %v", status, body)
+	}
+	updated := uint64(body["version"].(float64))
+	if _, e, c := state(); e != edges+2 || c != comps+1 {
+		t.Fatalf("after update: %d edges, %v components; want %d, %v", e, c, edges+2, comps+1)
+	}
+
+	if status, body := doJSON(t, "DELETE", ts.URL+"/v1/graphs/g", nil); status != http.StatusOK {
+		t.Fatalf("evict: %d %v", status, body)
+	}
+	if status, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g", spec); status != http.StatusOK {
+		t.Fatalf("reload: %d %v", status, body)
+	}
+	if v, e, c := state(); v != n || e != edges || c != comps {
+		t.Fatalf("after reload: %d vertices, %d edges, %v components; want the first load's %d, %d, %v",
+			v, e, c, n, edges, comps)
+	}
+	if v := s.Registry().List()[0].SnapshotVersion; v <= updated {
+		t.Fatalf("reload serves version %d, not past the updated snapshot's %d", v, updated)
+	}
+}
+
 func TestUpdateValidationAndNotFound(t *testing.T) {
 	_, ts := newTestServer(t, Config{UpdateWindow: -1})
 	if status, _ := doJSON(t, "POST", ts.URL+"/v1/graphs/nope/update", map[string]any{

@@ -2,16 +2,18 @@ package ligra_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"sync/atomic"
 	"testing"
 
 	"ligra"
+	"ligra/internal/parallel"
 )
 
 func TestMain(m *testing.M) {
-	ligra.SetParallelism(4)
+	parallel.SetProcs(4)
 	os.Exit(m.Run())
 }
 
@@ -130,13 +132,45 @@ func TestPublicCompressedGraphRuns(t *testing.T) {
 	}
 }
 
+// TestPublicParallelismControls checks that WithParallelism caps one
+// computation below Parallelism() without changing its result.
 func TestPublicParallelismControls(t *testing.T) {
-	old := ligra.SetParallelism(2)
-	if ligra.Parallelism() != 2 {
-		t.Error("SetParallelism did not take effect")
+	if p := ligra.Parallelism(); p != 4 {
+		t.Fatalf("Parallelism() = %d, want the 4 TestMain set", p)
 	}
-	ligra.SetParallelism(old)
-	ligra.SetParallelism(4)
+	g, err := ligra.Grid3D(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	var cur, peak atomic.Int64
+	f := ligra.EdgeFuncs{UpdateAtomic: func(_, _ uint32, _ int32) bool {
+		c := cur.Add(1)
+		for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
+		}
+		cur.Add(-1)
+		return true
+	}}
+	ctx := ligra.WithParallelism(context.Background(), 1)
+	out, err := ligra.EdgeMapCtx(ctx, g, ligra.NewAll(n), f, ligra.Options{Mode: ligra.ForceSparse, RemoveDuplicates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Size() != n {
+		t.Errorf("capped EdgeMapCtx reached %d vertices, want %d", out.Size(), n)
+	}
+	if p := peak.Load(); p != 1 {
+		t.Errorf("WithParallelism(1): %d concurrent updates, want 1", p)
+	}
+
+	capped, err := ligra.BFSCtx(ctx, g, 0, ligra.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ligra.BFS(g, 0, ligra.Options{}); capped.Visited != want.Visited || capped.Rounds != want.Rounds {
+		t.Errorf("capped BFS visited %d in %d rounds, want %d in %d",
+			capped.Visited, capped.Rounds, want.Visited, want.Rounds)
+	}
 }
 
 func TestPublicWeightedRouting(t *testing.T) {
@@ -305,34 +339,6 @@ func TestPublicGraphTransforms(t *testing.T) {
 	}
 }
 
-func TestPublicEdgeMapData(t *testing.T) {
-	g, err := ligra.Grid3D(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumVertices()
-	visited := make([]uint32, n)
-	visited[0] = 1
-	f := ligra.EdgeDataFuncs[uint32]{
-		UpdateAtomic: func(s, d uint32, _ int32) (uint32, bool) {
-			if atomic.CompareAndSwapUint32(&visited[d], 0, 1) {
-				return s, true
-			}
-			return 0, false
-		},
-		Cond: func(d uint32) bool { return atomic.LoadUint32(&visited[d]) == 0 },
-	}
-	out := ligra.EdgeMapData(g, ligra.NewSingle(n, 0), f, ligra.Options{})
-	if out.Size() != 6 {
-		t.Errorf("first wave size %d, want 6 (torus)", out.Size())
-	}
-	out.ForEach(func(v uint32, parent uint32) {
-		if parent != 0 {
-			t.Errorf("vertex %d discovered by %d, want 0", v, parent)
-		}
-	})
-}
-
 func TestPublicEdgeListAndLocalClustering(t *testing.T) {
 	g, err := ligra.RMAT(9, 8, ligra.PBBSRMAT, 21)
 	if err != nil {
@@ -383,20 +389,6 @@ func TestPublicEdgeListAndLocalClustering(t *testing.T) {
 	for _, r := range rm.Radii {
 		if r < -1 {
 			t.Fatalf("bad radius %d", r)
-		}
-	}
-}
-
-func TestPublicDedupStrategies(t *testing.T) {
-	g, err := ligra.Grid3D(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, strat := range []ligra.DedupStrategy{ligra.DedupScratch, ligra.DedupHash} {
-		opts := ligra.Options{Mode: ligra.ForceSparse, RemoveDuplicates: true, Dedup: strat}
-		res := ligra.ConnectedComponents(g, opts)
-		if res.Components != 1 {
-			t.Errorf("strategy %v: %d components on a torus", strat, res.Components)
 		}
 	}
 }

@@ -16,6 +16,8 @@
 //     a stuck worker (the sleep is deliberately not context-aware, so a
 //     query wedges past its deadline and the server watchdog must
 //     notice).
+//   - HoldRound(n) blocks the n-th EdgeMap round until released,
+//     parking a query mid-traversal so others can queue behind it.
 //   - CancelOnRound(parent, n) returns a context cancelled on the n-th
 //     EdgeMap round, proving mid-algorithm cancellation yields a usable
 //     partial result.
@@ -34,6 +36,7 @@ package faultinject
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -134,6 +137,25 @@ func PanicOnRound(n int, value any) (disarm func()) {
 	h.remaining.Store(int64(n))
 	roundSlot.arm(h)
 	return roundSlot.disarm(h)
+}
+
+// HoldRound arms OnRound to block on its n-th call (1-based) until the
+// returned release is called, parking one traversal mid-run so a test can
+// line other work up behind it. release also disarms, is idempotent, and
+// must be deferred.
+func HoldRound(n int) (release func()) {
+	gate := make(chan struct{})
+	h := &hook{fire: func() { <-gate }}
+	h.remaining.Store(int64(n))
+	roundSlot.arm(h)
+	disarm := roundSlot.disarm(h)
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			disarm()
+			close(gate)
+		})
+	}
 }
 
 // CancelOnRound returns a child context of parent that is cancelled when

@@ -92,3 +92,25 @@ func TestPanicOnRound(t *testing.T) {
 		t.Fatal("n-th round did not panic")
 	}()
 }
+
+// TestHoldRound proves HoldRound parks exactly the n-th call until
+// release, and that release frees the slot for the next hook.
+func TestHoldRound(t *testing.T) {
+	release := HoldRound(2)
+	defer release()
+	OnRound() // call 1: passes straight through
+	returned := make(chan struct{})
+	go func() {
+		OnRound() // call 2: parks
+		close(returned)
+	}()
+	select {
+	case <-returned:
+		t.Fatal("n-th round was not held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	<-returned
+	release()                  // idempotent
+	PanicOnRound(1, "rearm")() // the slot is free again
+}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -38,6 +39,23 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
+}
+
+// BenchmarkForRangeGrainCtxInline times a small auto-grain loop that runs
+// inline under a live ctx, the shape of most loops in a many-small-rounds
+// server query: the per-chunk ctx checks (and, on a single-P runtime
+// only, the yields) are its whole overhead.
+func BenchmarkForRangeGrainCtxInline(b *testing.B) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sink := make([]int64, 100)
+	for i := 0; i < b.N; i++ {
+		_ = ForRangeGrainCtx(ctx, len(sink), 0, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				sink[j]++
+			}
+		})
+	}
 }
 
 func BenchmarkScanExclusive(b *testing.B) {

@@ -101,13 +101,15 @@ func forSeq(ctx context.Context, n, grain, chunks int, rng func(lo, hi int), wk 
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
+	// Yield between chunks on a single-P runtime, the same rule as the
+	// pool's chunk loop (job.yield): there the goroutine that cancels the
+	// context (a deadline timer, a signal handler) would otherwise wait
+	// ~10ms for the runtime's forced preemption. With more Ps it runs
+	// beside the loop, and a yield per chunk only costs time.
+	yield := ctx != nil && runtime.GOMAXPROCS(0) == 1
 	for c := 0; c < chunks; c++ {
 		if ctx != nil {
-			// Yield between chunks so the goroutine that cancels the
-			// context (a deadline timer, a signal handler) can run even on
-			// GOMAXPROCS=1, where it would otherwise wait ~10ms for the
-			// runtime's forced preemption.
-			if c > 0 {
+			if yield && c > 0 {
 				runtime.Gosched()
 			}
 			if err := ctx.Err(); err != nil {

@@ -98,7 +98,7 @@ func TestQueryBackendValidation(t *testing.T) {
 // backend executes directly instead of joining the multi-source batch
 // collector (whose shared sweeps are edgeMap executions).
 func TestSpMVBypassesBatcher(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	srv, ts := newTestServer(t, Config{
 		MaxConcurrent: 4,
 		BatchWindow:   50 * time.Millisecond,
 		BatchMax:      8,
@@ -116,5 +116,8 @@ func TestSpMVBypassesBatcher(t *testing.T) {
 	}
 	if body["backend"] != "spmv" {
 		t.Errorf("bfs backend = %v, want spmv", body["backend"])
+	}
+	if s := srv.Batcher().Stats(); s.BatchesRun != 0 {
+		t.Errorf("collector ran %d sweeps for an spmv query", s.BatchesRun)
 	}
 }

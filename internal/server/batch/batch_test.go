@@ -40,52 +40,202 @@ func newCollector(cacheBytes int64, cfg Config) *Collector {
 	return New(context.Background(), engine.NewCache(cacheBytes), engine.NewGovernor(4, 0), cfg)
 }
 
-// TestBatchGathersWindow: K concurrent distinct queries within one window
-// run as ONE sweep and every caller gets its own slot's value.
-func TestBatchGathersWindow(t *testing.T) {
+// gate is a RunFunc whose sweeps each announce their slots on started and
+// then block until a value arrives on release (or the sweep's ctx ends),
+// so a test decides exactly when every sweep publishes.
+type gate struct {
+	runs    atomic.Int64
+	started chan []Request
+	release chan struct{}
+}
+
+func newGate() *gate {
+	return &gate{started: make(chan []Request, 8), release: make(chan struct{})}
+}
+
+func (g *gate) run(ctx context.Context, procs int, slots []Request) ([]engine.Value, error) {
+	g.runs.Add(1)
+	g.started <- slots
+	select {
+	case <-g.release:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	vals := make([]engine.Value, len(slots))
+	for i, s := range slots {
+		vals[i] = engine.Value{Data: s.Key.Params}
+	}
+	return vals, nil
+}
+
+// result is one Execute call's outcome.
+type result struct {
+	val  engine.Value
+	info Info
+	err  error
+}
+
+// goExecute runs Execute on its own goroutine and delivers the outcome.
+func goExecute(ctx context.Context, c *Collector, r Request, run RunFunc) <-chan result {
+	out := make(chan result, 1)
+	go func() {
+		var res result
+		res.val, res.info, res.err = c.Execute(ctx, r, run)
+		out <- res
+	}()
+	return out
+}
+
+// waitSeated blocks until n callers of shape are seated in its running
+// sweeps or its follower batch, so a test can act once arrivals are
+// queued rather than after a guessed sleep.
+func waitSeated(t *testing.T, c *Collector, shape string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.mu.Lock()
+		seated := 0
+		if sh := c.shapes[shape]; sh != nil {
+			for _, b := range sh.running {
+				seated += b.waiters
+			}
+			if sh.follower != nil {
+				seated += sh.follower.waiters
+			}
+		}
+		c.mu.Unlock()
+		if seated == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d callers seated on shape %q, want %d", seated, shape, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// holdLeader fires a lone query of req(leaderID)'s shape whose sweep
+// blocks on g until released, and waits for that sweep to start.
+func holdLeader(t *testing.T, c *Collector, g *gate, leaderID int) <-chan result {
+	t.Helper()
+	out := goExecute(context.Background(), c, req(leaderID), g.run)
+	if slots := <-g.started; len(slots) != 1 {
+		t.Fatalf("leader sweep has %d slots, want 1", len(slots))
+	}
+	return out
+}
+
+func expectValue(t *testing.T, name string, res result, want string, size int) {
+	t.Helper()
+	if res.err != nil || res.val.Data != want || !res.info.Batched || res.info.BatchSize != size {
+		t.Fatalf("%s: val=%v info=%+v err=%v, want %q in a batch of %d", name, res.val.Data, res.info, res.err, want, size)
+	}
+}
+
+// TestLoneQueryFiresAtOnce: a query with no sweep of its shape running
+// fires at once as a batch of one — it never waits out the window.
+func TestLoneQueryFiresAtOnce(t *testing.T) {
 	var runs atomic.Int64
-	c := newCollector(1<<20, Config{Window: 50 * time.Millisecond})
-	const K = 16
-	var wg sync.WaitGroup
-	errs := make([]error, K)
-	vals := make([]engine.Value, K)
-	infos := make([]Info, K)
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			vals[i], infos[i], errs[i] = c.Execute(context.Background(), req(i), echoRun(&runs))
-		}(i)
+	c := newCollector(1<<20, Config{Window: 10 * time.Second})
+	start := time.Now()
+	v, info, err := c.Execute(context.Background(), req(1), echoRun(&runs))
+	if err != nil || v.Data != key(1).Params || !info.Batched || info.BatchSize != 1 {
+		t.Fatalf("lone query: val=%v info=%+v err=%v", v.Data, info, err)
 	}
-	wg.Wait()
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("runs = %d, want 1", got)
+	if e := time.Since(start); e > 5*time.Second {
+		t.Fatalf("lone query took %v: it waited for the window", e)
 	}
-	for i := 0; i < K; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if vals[i].Data != key(i).Params {
-			t.Fatalf("caller %d got %v", i, vals[i].Data)
-		}
-		if !infos[i].Batched || infos[i].BatchSize != K || infos[i].Cached {
-			t.Fatalf("caller %d info %+v", i, infos[i])
-		}
-	}
-	s := c.Stats()
-	if s.BatchesRun != 1 || s.QueriesBatched != K || s.MeanBatchSize != K || s.WindowWaits != 1 {
+	if s := c.Stats(); s.BatchesRun != 1 || s.QueriesBatched != 1 || s.WindowWaits != 0 {
 		t.Fatalf("stats %+v", s)
 	}
 }
 
-// TestSlotCoalescing: identical keys in one window share a slot; both get
-// the value, the later one marked Coalesced; the sweep sees one slot.
+// TestBatchGathersWindow: K distinct queries arriving while a held leader
+// sweep runs gather into exactly one follower sweep of K slots, and every
+// caller gets its own slot's value.
+func TestBatchGathersWindow(t *testing.T) {
+	g := newGate()
+	c := newCollector(1<<20, Config{Window: 10 * time.Second})
+	leader := holdLeader(t, c, g, 100)
+	const K = 16
+	outs := make([]<-chan result, K)
+	for i := 0; i < K; i++ {
+		outs[i] = goExecute(context.Background(), c, req(i), g.run)
+	}
+	waitSeated(t, c, req(0).Shape, K+1)
+	g.release <- struct{}{} // the leader publishes; the follower fires
+	expectValue(t, "leader", <-leader, key(100).Params, 1)
+	if slots := <-g.started; len(slots) != K {
+		t.Fatalf("follower sweep has %d slots, want %d", len(slots), K)
+	}
+	g.release <- struct{}{}
+	for i := 0; i < K; i++ {
+		expectValue(t, fmt.Sprintf("follower %d", i), <-outs[i], key(i).Params, K)
+	}
+	if got := g.runs.Load(); got != 2 {
+		t.Fatalf("runs = %d, want 2 (leader + one follower)", got)
+	}
+	s := c.Stats()
+	if s.BatchesRun != 2 || s.QueriesBatched != K+1 || s.MeanBatchSize != float64(K+1)/2 || s.WindowWaits != 0 {
+		t.Fatalf("stats %+v", s)
+	}
+}
+
+// TestFollowerFiresWhenLeaderPublishes: the follower fires the moment the
+// sweep ahead of it publishes, long before its window would.
+func TestFollowerFiresWhenLeaderPublishes(t *testing.T) {
+	g := newGate()
+	c := newCollector(1<<20, Config{Window: time.Hour})
+	leader := holdLeader(t, c, g, 100)
+	follower := goExecute(context.Background(), c, req(1), g.run)
+	waitSeated(t, c, req(1).Shape, 2)
+	if s := c.Stats(); s.Waiting != 1 {
+		t.Fatalf("waiting = %d, want 1 queued behind the leader", s.Waiting)
+	}
+	g.release <- struct{}{}
+	<-leader
+	select {
+	case <-g.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower did not fire when the leader published")
+	}
+	g.release <- struct{}{}
+	expectValue(t, "follower", <-follower, key(1).Params, 1)
+	if s := c.Stats(); s.WindowWaits != 0 || s.Waiting != 0 {
+		t.Fatalf("stats %+v", s)
+	}
+}
+
+// TestFollowerWindowCapsWait: with the leader held past the window, the
+// follower fires by timer and runs beside the still-running leader.
+func TestFollowerWindowCapsWait(t *testing.T) {
+	g := newGate()
+	c := newCollector(1<<20, Config{Window: 20 * time.Millisecond})
+	leader := holdLeader(t, c, g, 100)
+	follower := goExecute(context.Background(), c, req(1), g.run)
+	if slots := <-g.started; len(slots) != 1 || slots[0].Key != key(1) {
+		t.Fatalf("timer-fired sweep slots %v, want the follower alone", slots)
+	}
+	if s := c.Stats(); s.WindowWaits != 1 || s.BatchesRun != 2 {
+		t.Fatalf("stats %+v", s)
+	}
+	g.release <- struct{}{}
+	g.release <- struct{}{}
+	<-leader
+	<-follower
+}
+
+// TestSlotCoalescing: identical keys share one slot, including keys that
+// arrive while that slot's sweep is already running; every caller gets
+// the value, all but the first marked Coalesced; the sweep sees one slot.
 func TestSlotCoalescing(t *testing.T) {
 	var runs atomic.Int64
 	var slotCount atomic.Int64
+	release := make(chan struct{})
 	run := func(ctx context.Context, procs int, slots []Request) ([]engine.Value, error) {
 		runs.Add(1)
 		slotCount.Store(int64(len(slots)))
+		<-release
 		vals := make([]engine.Value, len(slots))
 		for i := range slots {
 			vals[i] = engine.Value{Data: "v"}
@@ -104,6 +254,8 @@ func TestSlotCoalescing(t *testing.T) {
 			_, infos[i], errs[i] = c.Execute(context.Background(), req(7), run)
 		}(i)
 	}
+	waitSeated(t, c, req(7).Shape, K)
+	close(release)
 	wg.Wait()
 	if runs.Load() != 1 || slotCount.Load() != 1 {
 		t.Fatalf("runs=%d slots=%d, want 1/1", runs.Load(), slotCount.Load())
@@ -125,96 +277,74 @@ func TestSlotCoalescing(t *testing.T) {
 	}
 }
 
-// TestFullBatchFiresEarly: a batch that reaches MaxBatch fires without
-// waiting out the window.
+// TestFullBatchFiresEarly: a follower that reaches MaxBatch fires without
+// waiting for the leader to publish or for the window.
 func TestFullBatchFiresEarly(t *testing.T) {
-	var runs atomic.Int64
+	g := newGate()
 	c := newCollector(1<<20, Config{Window: time.Hour, MaxBatch: 4})
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, _, err := c.Execute(context.Background(), req(i), echoRun(&runs)); err != nil {
-				t.Error(err)
-			}
-		}(i)
+	leader := holdLeader(t, c, g, 100)
+	outs := make([]<-chan result, 4)
+	for i := range outs {
+		outs[i] = goExecute(context.Background(), c, req(i), g.run)
 	}
-	wg.Wait()
-	if time.Since(start) > 10*time.Second {
-		t.Fatal("batch waited for the window despite being full")
+	select {
+	case slots := <-g.started:
+		if len(slots) != 4 {
+			t.Fatalf("full follower has %d slots, want 4", len(slots))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("full follower waited for the leader")
 	}
-	if runs.Load() != 1 {
-		t.Fatalf("runs = %d", runs.Load())
+	g.release <- struct{}{}
+	g.release <- struct{}{}
+	<-leader
+	for _, out := range outs {
+		if res := <-out; res.err != nil {
+			t.Fatal(res.err)
+		}
 	}
-	if s := c.Stats(); s.WindowWaits != 0 {
+	if s := c.Stats(); s.WindowWaits != 0 || s.BatchesRun != 2 {
 		t.Fatalf("full batch counted as window wait: %+v", s)
 	}
 }
 
-// TestCallerCancelMidBatch: one caller cancels while the sweep runs; it
-// gets its ctx error immediately, the others still get their results, and
-// the sweep is NOT cancelled.
+// TestCallerCancelMidBatch: one caller cancels while its shared sweep
+// runs; it gets its ctx error immediately, the others still get their
+// results, and the sweep is NOT cancelled.
 func TestCallerCancelMidBatch(t *testing.T) {
-	release := make(chan struct{})
-	sawCancel := make(chan bool, 1)
-	run := func(ctx context.Context, procs int, slots []Request) ([]engine.Value, error) {
-		<-release
-		select {
-		case <-ctx.Done():
-			sawCancel <- true
-			return nil, ctx.Err()
-		default:
-			sawCancel <- false
-		}
-		vals := make([]engine.Value, len(slots))
-		for i, s := range slots {
-			vals[i] = engine.Value{Data: s.Key.Params}
-		}
-		return vals, nil
-	}
-	c := newCollector(1<<20, Config{Window: 10 * time.Millisecond})
+	g := newGate()
+	c := newCollector(1<<20, Config{Window: time.Hour})
+	leader := holdLeader(t, c, g, 100)
 	cctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	cancelled := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _, err := c.Execute(cctx, req(0), run)
-		cancelled <- err
-	}()
-	okVals := make([]engine.Value, 3)
-	okErrs := make([]error, 3)
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			okVals[i], _, okErrs[i] = c.Execute(context.Background(), req(i+1), run)
-		}(i)
+	cancelled := goExecute(cctx, c, req(0), g.run)
+	siblings := make([]<-chan result, 3)
+	for i := range siblings {
+		siblings[i] = goExecute(context.Background(), c, req(i+1), g.run)
 	}
-	time.Sleep(30 * time.Millisecond) // let the window fire; run blocks on release
+	waitSeated(t, c, req(0).Shape, 5)
+	g.release <- struct{}{}
+	<-leader
+	if slots := <-g.started; len(slots) != 4 {
+		t.Fatalf("shared sweep has %d slots, want 4", len(slots))
+	}
 	cancel()
 	// The cancelled caller must return promptly even though the sweep is
 	// still blocked on release.
-	var cancelErr error
 	select {
-	case cancelErr = <-cancelled:
+	case res := <-cancelled:
+		if !errors.Is(res.err, context.Canceled) {
+			t.Fatalf("cancelled caller err = %v", res.err)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled caller did not return")
 	}
-	close(release)
-	wg.Wait()
-	if !errors.Is(cancelErr, context.Canceled) {
-		t.Fatalf("cancelled caller err = %v", cancelErr)
-	}
-	if <-sawCancel {
+	select {
+	case g.release <- struct{}{}:
+	case <-time.After(5 * time.Second):
 		t.Fatal("sweep was cancelled although waiters remained")
 	}
-	for i := 0; i < 3; i++ {
-		if okErrs[i] != nil || okVals[i].Data != key(i+1).Params {
-			t.Fatalf("sibling %d: val=%v err=%v", i, okVals[i].Data, okErrs[i])
-		}
+	for i, out := range siblings {
+		expectValue(t, fmt.Sprintf("sibling %d", i), <-out, key(i+1).Params, 4)
 	}
 }
 
@@ -256,32 +386,35 @@ func TestAllCallersCancelStopsSweep(t *testing.T) {
 	}
 }
 
-// TestDetachBeforeFireDropsBatch: a caller that cancels while the batch
-// is still forming (long window) retires the batch without running it.
+// TestDetachBeforeFireDropsBatch: a follower whose waiters all cancel
+// before it fires is retired without running, and the leader's publish
+// afterwards fires nothing.
 func TestDetachBeforeFireDropsBatch(t *testing.T) {
-	var runs atomic.Int64
+	g := newGate()
 	c := newCollector(1<<20, Config{Window: time.Hour})
+	leader := holdLeader(t, c, g, 100)
 	cctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := c.Execute(cctx, req(0), echoRun(&runs))
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+	outs := []<-chan result{goExecute(cctx, c, req(0), g.run), goExecute(cctx, c, req(1), g.run)}
+	waitSeated(t, c, req(0).Shape, 3)
 	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if runs.Load() != 0 {
-		t.Fatal("abandoned batch still ran")
+	for _, out := range outs {
+		if res := <-out; !errors.Is(res.err, context.Canceled) {
+			t.Fatalf("err = %v", res.err)
+		}
 	}
 	c.mu.Lock()
-	pending := len(c.pending)
+	follower := c.shapes[req(0).Shape].follower
 	c.mu.Unlock()
-	if pending != 0 {
-		t.Fatal("abandoned batch left in pending")
+	if follower != nil {
+		t.Fatal("abandoned follower left forming")
 	}
-	if s := c.Stats(); s.BatchesRun != 0 {
+	g.release <- struct{}{}
+	expectValue(t, "leader", <-leader, key(100).Params, 1)
+	waitSeated(t, c, req(0).Shape, 0)
+	if runs := g.runs.Load(); runs != 1 {
+		t.Fatalf("runs = %d: the abandoned follower still ran", runs)
+	}
+	if s := c.Stats(); s.BatchesRun != 1 {
 		t.Fatalf("abandoned batch counted: %+v", s)
 	}
 }
@@ -320,6 +453,34 @@ func TestPanicFanout(t *testing.T) {
 	}
 }
 
+// TestPanicLeaderReleasesFollowers: a leader sweep that panics still
+// publishes, so the follower gathered behind it fires and answers.
+func TestPanicLeaderReleasesFollowers(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	boom := func(ctx context.Context, procs int, slots []Request) ([]engine.Value, error) {
+		close(started)
+		<-release
+		panic("leader exploded")
+	}
+	var runs atomic.Int64
+	c := newCollector(1<<20, Config{Window: time.Hour})
+	leader := goExecute(context.Background(), c, req(100), boom)
+	<-started
+	outs := []<-chan result{goExecute(context.Background(), c, req(1), echoRun(&runs)), goExecute(context.Background(), c, req(2), echoRun(&runs))}
+	waitSeated(t, c, req(1).Shape, 3)
+	close(release)
+	var pe *parallel.PanicError
+	if res := <-leader; !errors.As(res.err, &pe) {
+		t.Fatalf("leader err = %v, want *parallel.PanicError", res.err)
+	}
+	for i, out := range outs {
+		expectValue(t, fmt.Sprintf("follower %d", i), <-out, key(i+1).Params, 2)
+	}
+	if s := c.Stats(); s.FanoutErrors != 1 || s.WindowWaits != 0 {
+		t.Fatalf("stats %+v", s)
+	}
+}
+
 // TestCacheInteraction: a hit skips batching entirely; a successful sweep
 // fills the cache per slot so repeats are hits.
 func TestCacheInteraction(t *testing.T) {
@@ -347,28 +508,24 @@ func TestCacheInteraction(t *testing.T) {
 	}
 }
 
-// TestShapeIsolation: different shapes never share a batch.
+// TestShapeIsolation: different shapes never share a batch, and a
+// running sweep of one shape does not hold back a query of another.
 func TestShapeIsolation(t *testing.T) {
+	g := newGate()
+	c := newCollector(1<<20, Config{Window: time.Hour})
+	leader := holdLeader(t, c, g, 100)
 	var runs atomic.Int64
-	c := newCollector(1<<20, Config{Window: 30 * time.Millisecond})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := req(i)
-			if i%2 == 1 {
-				r.Shape = "other-shape"
-			}
-			if _, _, err := c.Execute(context.Background(), r, echoRun(&runs)); err != nil {
-				t.Error(err)
-			}
-		}(i)
+	other := req(1)
+	other.Shape = "other-shape"
+	v, info, err := c.Execute(context.Background(), other, echoRun(&runs))
+	if err != nil || v.Data != key(1).Params || info.BatchSize != 1 {
+		t.Fatalf("other shape: val=%v info=%+v err=%v", v.Data, info, err)
 	}
-	wg.Wait()
-	if runs.Load() != 2 {
-		t.Fatalf("runs = %d, want 2 (one per shape)", runs.Load())
+	if runs.Load() != 1 {
+		t.Fatalf("other-shape runs = %d, want 1", runs.Load())
 	}
+	g.release <- struct{}{}
+	<-leader
 }
 
 // TestBadFanoutIsError: a RunFunc returning misaligned values is an error
@@ -392,7 +549,7 @@ func TestClusterRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumVertices()
-	c := newCollector(0, Config{Window: 40 * time.Millisecond}) // cache off: every query must traverse
+	c := newCollector(0, Config{Window: time.Hour}) // cache off: every query must traverse
 	type q struct {
 		name string
 		p    algo.Params
@@ -404,6 +561,13 @@ func TestClusterRunEndToEnd(t *testing.T) {
 		{"landmarks", algo.Params{Source: 3, Landmarks: []uint32{0, uint32(n / 3), uint32(n - 2)}}},
 	}
 	run := ClusterRun(g)
+	// A held leader of the same shape makes all four queries gather into
+	// one follower sweep.
+	gt := newGate()
+	leaderReq := req(100)
+	leaderReq.Shape = "g/1/auto/0"
+	leader := goExecute(context.Background(), c, leaderReq, gt.run)
+	<-gt.started
 	var wg sync.WaitGroup
 	got := make([]engine.Value, len(queries))
 	infos := make([]Info, len(queries))
@@ -424,6 +588,9 @@ func TestClusterRunEndToEnd(t *testing.T) {
 			}
 		}(i, qu)
 	}
+	waitSeated(t, c, leaderReq.Shape, len(queries)+1)
+	gt.release <- struct{}{}
+	<-leader
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()

@@ -13,6 +13,7 @@ import (
 	"ligra/internal/faultinject"
 	"ligra/internal/gen"
 	"ligra/internal/graph"
+	"ligra/internal/server/batch"
 )
 
 // saveTestGraph writes a deterministic RMAT graph to disk so two servers
@@ -30,16 +31,29 @@ func saveTestGraph(t *testing.T) string {
 	return path
 }
 
+// waitBatchStats polls the collector until ok holds for its counters.
+func waitBatchStats(t *testing.T, s *Server, what string, ok func(batch.Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !ok(s.Batcher().Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: batch stats %+v", what, s.Batcher().Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestBatchedQueriesOverHTTP proves the wire contract of the batched
-// path: concurrent batchable queries against one graph share a sweep
+// path: a batchable query on an idle shape fires alone, queries arriving
+// while its sweep runs gather behind it and share the next sweep
 // (batched:true, batch_size > 1), every per-caller answer is identical
-// to the answer a batching-disabled server gives, and the /metrics
-// batch block records the sweep.
+// to the answer a batching-disabled server gives, and the /metrics batch
+// block records both sweeps.
 func TestBatchedQueriesOverHTTP(t *testing.T) {
 	path := saveTestGraph(t)
-	_, batched := newTestServer(t, Config{
+	srv, batched := newTestServer(t, Config{
 		MaxConcurrent: 32, QueueWait: 2 * time.Second,
-		BatchWindow: 500 * time.Millisecond,
+		BatchWindow: 10 * time.Second, // only a broken hand-off would wait it out
 	})
 	_, plain := newTestServer(t, Config{
 		MaxConcurrent: 32, QueueWait: 2 * time.Second,
@@ -66,18 +80,31 @@ func TestBatchedQueriesOverHTTP(t *testing.T) {
 	bodies := make([]map[string]any, len(queries))
 	var wg sync.WaitGroup
 	errs := make([]error, len(queries))
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q map[string]any) {
-			defer wg.Done()
-			status, body := doJSON(t, "POST", batched.URL+"/v1/graphs/g/query", q)
-			if status != http.StatusOK {
-				errs[i] = fmt.Errorf("batched query %v: status %d, body %v", q, status, body)
-				return
-			}
-			bodies[i] = body
-		}(i, q)
+	send := func(i int) {
+		defer wg.Done()
+		status, body := doJSON(t, "POST", batched.URL+"/v1/graphs/g/query", queries[i])
+		if status != http.StatusOK {
+			errs[i] = fmt.Errorf("batched query %v: status %d, body %v", queries[i], status, body)
+			return
+		}
+		bodies[i] = body
 	}
+
+	// The first query finds its shape idle and fires at once; its sweep
+	// parks in its first edgeMap round until released, so the other
+	// seven provably arrive while it runs and queue behind it.
+	release := faultinject.HoldRound(1)
+	defer release()
+	wg.Add(1)
+	go send(0)
+	waitBatchStats(t, srv, "the leader sweep", func(s batch.Stats) bool { return s.BatchesRun == 1 })
+	for i := 1; i < len(queries); i++ {
+		wg.Add(1)
+		go send(i)
+	}
+	followers := int64(len(queries) - 1)
+	waitBatchStats(t, srv, "the followers to queue", func(s batch.Stats) bool { return s.Waiting == followers })
+	release()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -85,20 +112,17 @@ func TestBatchedQueriesOverHTTP(t *testing.T) {
 		}
 	}
 
-	// Every reply is marked batched, and at least one sweep gathered
-	// multiple callers (all eight arrive well inside the 500ms window,
-	// but the assertion tolerates a straggler landing in a second batch).
-	maxBatch := 0
+	// Every reply is marked batched; the leader swept alone and the
+	// seven followers shared the sweep fired when it published.
 	for i, body := range bodies {
-		if body["batched"] != true {
-			t.Errorf("query %v: batched flag missing: %v", queries[i], body)
+		want := len(queries) - 1
+		if i == 0 {
+			want = 1
 		}
-		if n := int(body["batch_size"].(float64)); n > maxBatch {
-			maxBatch = n
+		if body["batched"] != true || int(body["batch_size"].(float64)) != want {
+			t.Errorf("query %v: batched=%v batch_size=%v, want batched in a sweep of %d",
+				queries[i], body["batched"], body["batch_size"], want)
 		}
-	}
-	if maxBatch < 2 {
-		t.Errorf("no sweep served more than one caller (max batch_size %d)", maxBatch)
 	}
 
 	// Per-caller parity: each batched answer equals the answer the
@@ -119,19 +143,21 @@ func TestBatchedQueriesOverHTTP(t *testing.T) {
 		}
 	}
 
-	// The /metrics batch block saw the sweep.
+	// The /metrics batch block saw both sweeps. Neither waited for the
+	// window: the leader fired on an idle shape, the follower when the
+	// leader published.
 	snap := metricsSnapshot(t, batched.URL)
-	if snap.Batch.BatchesRun < 1 {
-		t.Errorf("batches_run = %d, want >= 1", snap.Batch.BatchesRun)
+	if snap.Batch.BatchesRun != 2 {
+		t.Errorf("batches_run = %d, want 2 (leader + follower)", snap.Batch.BatchesRun)
 	}
-	if snap.Batch.QueriesBatched < int64(len(queries)) {
-		t.Errorf("queries_batched = %d, want >= %d", snap.Batch.QueriesBatched, len(queries))
+	if snap.Batch.QueriesBatched != int64(len(queries)) {
+		t.Errorf("queries_batched = %d, want %d", snap.Batch.QueriesBatched, len(queries))
 	}
-	if snap.Batch.MeanBatchSize < 1 {
-		t.Errorf("mean_batch_size = %v, want >= 1", snap.Batch.MeanBatchSize)
+	if want := float64(len(queries)) / 2; snap.Batch.MeanBatchSize != want {
+		t.Errorf("mean_batch_size = %v, want %v", snap.Batch.MeanBatchSize, want)
 	}
-	if snap.Batch.WindowWaits < 1 {
-		t.Errorf("window_waits = %d, want >= 1 (batches fired by timer)", snap.Batch.WindowWaits)
+	if snap.Batch.WindowWaits != 0 || snap.Batch.Waiting != 0 {
+		t.Errorf("window_waits = %d, waiting = %d, want 0/0 (no sweep fired by timer)", snap.Batch.WindowWaits, snap.Batch.Waiting)
 	}
 	if plainSnap := metricsSnapshot(t, plain.URL); plainSnap.Batch.BatchesRun != 0 {
 		t.Errorf("batching-disabled server ran %d batches", plainSnap.Batch.BatchesRun)

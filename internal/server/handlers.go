@@ -516,14 +516,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// batching and runs its kernel through the engine instead.
 	if s.batcher != nil && backend == algo.BackendEdgeMap && algo.Batchable(runner.Name) {
 		// Batched path: the query contributes one source bit to a shared
-		// ClusterBFS sweep over every compatible query in the window.
+		// ClusterBFS sweep — alone if its shape is idle, otherwise with
+		// every compatible query queued behind the running sweep.
 		// The shape key admits any batchable algorithm against the same
 		// graph generation and traversal options; cache lookups/fills
 		// and slot coalescing happen inside the collector, so the
 		// engine's single-flight layer is bypassed, not duplicated.
 		// The shape key includes the snapshot version, so every slot of a
 		// sweep pinned the identical snapshot. The sweep itself can fire
-		// after this handler's pin is gone (detached window fire), so it
+		// after this handler's pin is gone (a detached follower fire), so it
 		// re-pins at execution time and aborts if the graph was evicted.
 		run := batch.ClusterRun(g)
 		val, binfo, err = s.batcher.Execute(ctx, batch.Request{

@@ -38,10 +38,12 @@ type Config struct {
 	// the parallelism governor; 0 selects GOMAXPROCS (a lone query still
 	// uses the whole machine; concurrent queries share it).
 	MaxQueryProcs int
-	// BatchWindow is how long the first batchable query (bfs, reach,
-	// landmarks) waits for companions before its shared ClusterBFS sweep
-	// fires; 0 selects 2ms; negative disables batching entirely (every
-	// query goes through the engine alone).
+	// BatchWindow caps how long a batchable query (bfs, reach,
+	// landmarks) queued behind a running sweep of its shape waits for
+	// that sweep before its own shared ClusterBFS sweep fires; 0 selects
+	// 2ms; negative disables batching entirely (every query goes through
+	// the engine alone). A query whose shape has no sweep running fires
+	// at once: queries batch only behind a running sweep.
 	BatchWindow time.Duration
 	// BatchMax caps the query slots per shared sweep; 0 selects 64,
 	// which is also the hard ceiling (one visit-word bit per slot).
